@@ -30,11 +30,14 @@ struct RequestTrace {
   obs::TraceContext trace;
   SimTime trace_time = -1;
   bool batching = false;
+  net::TelemetryDecodeCounters* decode_errors;
 
   RequestTrace(std::string_view telemetry, std::string_view root,
-               const net::CallSideband& sideband) {
+               const net::CallSideband& sideband,
+               net::TelemetryDecodeCounters* decode_errors)
+      : decode_errors(decode_errors) {
     net::TraceContextBlock tctx;
-    (void)net::DecodeTraceContext(telemetry, &tctx);
+    Bump(net::DecodeTraceContext(telemetry, &tctx));
     trace = sideband.trace;
     trace_time = sideband.trace_time;
     batching = tctx.want_spans && !trace.active();
@@ -49,10 +52,67 @@ struct RequestTrace {
     trace.End(net::EventLoop::NowMicros());
     return net::EncodeSpanBatch(sink.Spans(trace.trace));
   }
+
+  // A hop this request forwards to a peer. A batching request passes no
+  // side-band trace and asks the peer for a span batch over the wire
+  // instead, which Graft stitches under this request's span — so the
+  // stitched tree is the same on every transport.
+  obs::TraceContext HopTrace() const {
+    return batching ? obs::TraceContext{} : trace;
+  }
+  std::string HopTelemetry() const {
+    if (!batching) return {};
+    net::TraceContextBlock tctx;
+    tctx.want_spans = true;
+    tctx.trace_id = trace.trace;
+    tctx.span_id = trace.span;
+    tctx.origin = "aggregator";
+    return net::EncodeTraceContext(tctx);
+  }
+  void Graft(std::string_view span_batch) {
+    if (!batching) return;
+    std::vector<obs::SpanRecord> batch;
+    const Status decoded = net::DecodeSpanBatch(span_batch, &batch);
+    Bump(decoded);
+    if (decoded.ok() && !batch.empty()) sink.Graft(trace, batch);
+  }
+
+ private:
+  void Bump(const Status& status) {
+    if (!status.ok() && decode_errors != nullptr) decode_errors->Bump(status);
+  }
 };
 
-Result<net::Message> HandleSubquery(CubrickServer* server,
-                                    cluster::ServerId server_id,
+// Endpoint state shared by one server's handlers.
+struct ServerEndpoint {
+  CubrickServer* server;
+  cluster::ServerId server_id;
+  RegionContext* ctx;
+  net::TelemetryDecodeCounters* decode_errors;
+};
+
+// Coordinating and region-wide epoch probes need the region's catalog,
+// cluster and discovery. A context that carries only a transport (a
+// scalewall_node server) answers them with a Status instead.
+Status RequireRegion(const RegionContext* ctx, const net::Message& request) {
+  const bool region = ctx != nullptr && ctx->catalog != nullptr &&
+                      ctx->cluster != nullptr && ctx->discovery != nullptr;
+  return region ? Status::Ok()
+                : Status::FailedPrecondition(
+                      std::string(net::FrameTypeName(request.type)) +
+                      " needs a region this endpoint does not have");
+}
+
+// Broadcast-join plans ship dim snapshots in the envelope; the scan
+// joins against those instead of the server's resident replicas (null).
+const JoinContext* SnapshotJoins(const std::vector<ReplicatedTable>& dims,
+                                 JoinContext* storage) {
+  if (dims.empty()) return nullptr;
+  for (const ReplicatedTable& dim : dims) storage->tables.push_back(&dim);
+  return storage;
+}
+
+Result<net::Message> HandleSubquery(const ServerEndpoint& ep,
                                     const net::Message& request,
                                     const net::CallSideband& sideband) {
   auto envelope = wire::DecodeSubqueryRequest(request.payload);
@@ -60,21 +120,15 @@ Result<net::Message> HandleSubquery(CubrickServer* server,
   const std::string* fingerprint =
       envelope->fingerprint.empty() ? nullptr : &envelope->fingerprint;
 
-  RequestTrace rtrace(envelope->telemetry, "host " + NodePeerName(server_id),
-                      sideband);
+  RequestTrace rtrace(envelope->telemetry,
+                      "host " + NodePeerName(ep.server_id), sideband,
+                      ep.decode_errors);
 
-  // Broadcast-join plans ship dim snapshots in the envelope; the scan
-  // joins against those instead of the server's resident replicas.
   JoinContext snapshot_ctx;
-  const JoinContext* dims_override = nullptr;
-  if (!envelope->dims.empty()) {
-    for (const ReplicatedTable& dim : envelope->dims) {
-      snapshot_ctx.tables.push_back(&dim);
-    }
-    dims_override = &snapshot_ctx;
-  }
+  const JoinContext* dims_override =
+      SnapshotJoins(envelope->dims, &snapshot_ctx);
 
-  auto partial = server->ExecutePartial(
+  auto partial = ep.server->ExecutePartial(
       envelope->query, envelope->partition, /*hop_budget=*/-1, sideband.cancel,
       rtrace.trace, rtrace.trace_time, envelope->cache_policy, fingerprint,
       envelope->scan_path, dims_override,
@@ -85,11 +139,10 @@ Result<net::Message> HandleSubquery(CubrickServer* server,
       wire::EncodeSubqueryResponse(*partial, rtrace.Finish())};
 }
 
-Result<net::Message> HandleTreeMerge(CubrickServer* server,
-                                     cluster::ServerId server_id,
-                                     RegionContext* ctx,
+Result<net::Message> HandleTreeMerge(const ServerEndpoint& ep,
                                      const net::Message& request,
                                      const net::CallSideband& sideband) {
+  const cluster::ServerId server_id = ep.server_id;
   auto envelope = wire::DecodeTreeMergeRequest(request.payload);
   if (!envelope.ok()) return envelope.status();
   const size_t num_leaves = envelope->partitions.size();
@@ -97,50 +150,49 @@ Result<net::Message> HandleTreeMerge(CubrickServer* server,
       envelope->fingerprint.empty() ? nullptr : &envelope->fingerprint;
 
   RequestTrace rtrace(envelope->telemetry,
-                      "aggregator " + NodePeerName(server_id), sideband);
+                      "aggregator " + NodePeerName(server_id), sideband,
+                      ep.decode_errors);
 
   JoinContext snapshot_ctx;
-  const JoinContext* dims_override = nullptr;
-  if (!envelope->dims.empty()) {
-    for (const ReplicatedTable& dim : envelope->dims) {
-      snapshot_ctx.tables.push_back(&dim);
-    }
-    dims_override = &snapshot_ctx;
-  }
+  const JoinContext* dims_override =
+      SnapshotJoins(envelope->dims, &snapshot_ctx);
 
   wire::TreeMergeResult merged;
   merged.result = QueryResult(envelope->query.aggregations.size());
   merged.epochs.assign(num_leaves, 0);
   merged.forward_hops.assign(num_leaves, 0);
 
+  // Remote leaves and sub-chunks forward over the region's transport.
+  net::Transport* forward = ep.ctx != nullptr ? ep.ctx->transport : nullptr;
+  const auto no_forward = [] {
+    return Status::FailedPrecondition(
+        "tree merge forwarding requires a transport");
+  };
+  const std::string* pool =
+      envelope->pool_path.empty() ? nullptr : &envelope->pool_path;
+
   // Execute one leaf: locally when this aggregator hosts the partition,
   // as a forwarded subquery otherwise.
   auto leaf = [&](size_t i) -> Status {
-    if (envelope->servers[i] == server_id) {
-      auto partial = server->ExecutePartial(
-          envelope->query, envelope->partitions[i], /*hop_budget=*/-1,
-          sideband.cancel, rtrace.trace, rtrace.trace_time,
-          envelope->cache_policy, fingerprint, envelope->scan_path,
-          dims_override,
-          envelope->pool_path.empty() ? nullptr : &envelope->pool_path);
-      if (!partial.ok()) return partial.status();
-      merged.epochs[i] = partial->epoch;
-      merged.forward_hops[i] = partial->forward_hops;
-      merged.result.Merge(partial->result);
-      return Status::Ok();
-    }
-    if (ctx == nullptr || ctx->transport == nullptr) {
-      return Status::FailedPrecondition(
-          "tree merge leaf forwarding requires a transport");
-    }
-    auto partial = CallSubquery(
-        *ctx->transport, envelope->servers[i], envelope->query,
-        envelope->partitions[i], envelope->remaining_budget,
-        envelope->cache_policy, envelope->scan_path, fingerprint,
-        sideband.cancel, rtrace.trace, rtrace.trace_time,
-        envelope->dims.empty() ? nullptr : &envelope->dims,
-        envelope->pool_path.empty() ? nullptr : &envelope->pool_path);
+    const bool local = envelope->servers[i] == server_id;
+    if (!local && forward == nullptr) return no_forward();
+    const std::string hop_telemetry = rtrace.HopTelemetry();
+    std::string span_batch;
+    auto partial =
+        local ? ep.server->ExecutePartial(
+                    envelope->query, envelope->partitions[i],
+                    /*hop_budget=*/-1, sideband.cancel, rtrace.trace,
+                    rtrace.trace_time, envelope->cache_policy, fingerprint,
+                    envelope->scan_path, dims_override, pool)
+              : CallSubquery(
+                    *forward, envelope->servers[i], envelope->query,
+                    envelope->partitions[i], envelope->remaining_budget,
+                    envelope->cache_policy, envelope->scan_path, fingerprint,
+                    sideband.cancel, rtrace.HopTrace(), rtrace.trace_time,
+                    envelope->dims.empty() ? nullptr : &envelope->dims, pool,
+                    &hop_telemetry, &span_batch);
     if (!partial.ok()) return partial.status();
+    rtrace.Graft(span_batch);
     merged.epochs[i] = partial->epoch;
     merged.forward_hops[i] = partial->forward_hops;
     merged.result.Merge(partial->result);
@@ -154,39 +206,28 @@ Result<net::Message> HandleTreeMerge(CubrickServer* server,
   // forwarded as a nested tree-merge call.
   std::function<Status(size_t, size_t)> run = [&](size_t lo,
                                                   size_t hi) -> Status {
-    if (hi - lo == 1) return leaf(lo);
     const size_t chunk = static_cast<size_t>(
         TreeChunkSize(static_cast<int>(hi - lo), envelope->fanin));
     for (size_t clo = lo; clo < hi; clo += chunk) {
       const size_t chi = std::min(clo + chunk, hi);
       if (chi - clo == 1) {
-        Status st = leaf(clo);
-        if (!st.ok()) return st;
+        SCALEWALL_RETURN_IF_ERROR(leaf(clo));
       } else if (envelope->servers[clo] == server_id) {
-        Status st = run(clo, chi);
-        if (!st.ok()) return st;
+        SCALEWALL_RETURN_IF_ERROR(run(clo, chi));
       } else {
-        if (ctx == nullptr || ctx->transport == nullptr) {
-          return Status::FailedPrecondition(
-              "tree merge forwarding requires a transport");
-        }
-        wire::TreeMergeEnvelope sub;
-        sub.query = envelope->query;
+        if (forward == nullptr) return no_forward();
+        wire::TreeMergeEnvelope sub = *envelope;
         sub.partitions.assign(envelope->partitions.begin() + clo,
                               envelope->partitions.begin() + chi);
         sub.servers.assign(envelope->servers.begin() + clo,
                            envelope->servers.begin() + chi);
-        sub.fanin = envelope->fanin;
-        sub.cache_policy = envelope->cache_policy;
-        sub.scan_path = envelope->scan_path;
-        sub.fingerprint = envelope->fingerprint;
-        sub.remaining_budget = envelope->remaining_budget;
-        sub.pool_path = envelope->pool_path;
-        sub.dims = envelope->dims;
-        auto subtree =
-            CallTreeMerge(*ctx->transport, envelope->servers[clo], sub,
-                          sideband.cancel, rtrace.trace, rtrace.trace_time);
+        sub.telemetry = rtrace.HopTelemetry();
+        std::string span_batch;
+        auto subtree = CallTreeMerge(*forward, envelope->servers[clo],
+                                     sub, sideband.cancel, rtrace.HopTrace(),
+                                     rtrace.trace_time, &span_batch);
         if (!subtree.ok()) return subtree.status();
+        rtrace.Graft(span_batch);
         if (subtree->epochs.size() != chi - clo ||
             subtree->forward_hops.size() != chi - clo) {
           return Status::Internal(
@@ -201,8 +242,7 @@ Result<net::Message> HandleTreeMerge(CubrickServer* server,
     }
     return Status::Ok();
   };
-  Status st = run(0, num_leaves);
-  if (!st.ok()) return st;
+  SCALEWALL_RETURN_IF_ERROR(run(0, num_leaves));
   return net::Message{
       net::FrameType::kTreeMergeResponse,
       wire::EncodeTreeMergeResponse(merged, rtrace.Finish())};
@@ -222,6 +262,7 @@ Result<net::Message> HandleCoordinate(cluster::ServerId server_id,
                                       RegionContext* ctx,
                                       const net::Message& request,
                                       const net::CallSideband& sideband) {
+  SCALEWALL_RETURN_IF_ERROR(RequireRegion(ctx, request));
   auto envelope = wire::DecodeCoordinateRequest(request.payload);
   if (!envelope.ok()) return envelope.status();
   auto* coordinate = static_cast<CoordinateSideband*>(sideband.cookie);
@@ -254,6 +295,7 @@ Result<net::Message> HandleCoordinate(cluster::ServerId server_id,
 
 Result<net::Message> HandleEpochs(RegionContext* ctx,
                                   const net::Message& request) {
+  SCALEWALL_RETURN_IF_ERROR(RequireRegion(ctx, request));
   auto probe = wire::DecodeEpochRequest(request.payload);
   if (!probe.ok()) return probe.status();
   auto epochs = CollectPartitionEpochs(*ctx, probe->table, probe->dims);
@@ -264,23 +306,23 @@ Result<net::Message> HandleEpochs(RegionContext* ctx,
 
 }  // namespace
 
-net::Handler MakeServerNodeHandler(CubrickServer* server,
-                                   cluster::ServerId server_id,
-                                   RegionContext* ctx) {
-  return [server, server_id, ctx](
-             const net::Message& request,
-             const net::CallSideband& sideband) -> Result<net::Message> {
+net::Handler MakeServerNodeHandler(
+    CubrickServer* server, cluster::ServerId server_id, RegionContext* ctx,
+    net::TelemetryDecodeCounters* decode_errors) {
+  const ServerEndpoint ep{server, server_id, ctx, decode_errors};
+  return [ep](const net::Message& request,
+              const net::CallSideband& sideband) -> Result<net::Message> {
     switch (request.type) {
       case net::FrameType::kSubqueryRequest:
-        return HandleSubquery(server, server_id, request, sideband);
+        return HandleSubquery(ep, request, sideband);
       case net::FrameType::kTreeMergeRequest:
-        return HandleTreeMerge(server, server_id, ctx, request, sideband);
+        return HandleTreeMerge(ep, request, sideband);
       case net::FrameType::kShuffleMapRequest:
-        return HandleShuffleMap(server, request);
+        return HandleShuffleMap(ep.server, request);
       case net::FrameType::kCoordinateRequest:
-        return HandleCoordinate(server_id, ctx, request, sideband);
+        return HandleCoordinate(ep.server_id, ep.ctx, request, sideband);
       case net::FrameType::kEpochRequest:
-        return HandleEpochs(ctx, request);
+        return HandleEpochs(ep.ctx, request);
       default:
         return Status::Unimplemented(
             "server node does not serve frame type " +
@@ -308,7 +350,8 @@ Result<PartialResult> CallSubquery(
     cache::CachePolicy cache_policy, exec::ScanPath scan_path,
     const std::string* fingerprint, const exec::CancelToken* cancel,
     obs::TraceContext trace, SimTime trace_time,
-    const std::vector<ReplicatedTable>* dims, const std::string* pool) {
+    const std::vector<ReplicatedTable>* dims, const std::string* pool,
+    const std::string* telemetry, std::string* span_batch) {
   wire::SubqueryEnvelope envelope;
   envelope.query = query;
   envelope.partition = partition;
@@ -318,6 +361,7 @@ Result<PartialResult> CallSubquery(
   envelope.remaining_budget = remaining_budget;
   if (pool != nullptr) envelope.pool_path = *pool;
   if (dims != nullptr) envelope.dims = *dims;
+  if (telemetry != nullptr) envelope.telemetry = *telemetry;
 
   net::CallOptions options;
   options.sideband.cancel = cancel;
@@ -333,13 +377,13 @@ Result<PartialResult> CallSubquery(
     return Status::Internal("unexpected frame type in subquery response: " +
                             std::string(net::FrameTypeName(response->type)));
   }
-  return wire::DecodeSubqueryResponse(response->payload);
+  return wire::DecodeSubqueryResponse(response->payload, span_batch);
 }
 
 Result<wire::TreeMergeResult> CallTreeMerge(
     net::Transport& transport, cluster::ServerId aggregator,
     const wire::TreeMergeEnvelope& envelope, const exec::CancelToken* cancel,
-    obs::TraceContext trace, SimTime trace_time) {
+    obs::TraceContext trace, SimTime trace_time, std::string* span_batch) {
   net::CallOptions options;
   options.sideband.cancel = cancel;
   options.sideband.trace = trace;
@@ -355,7 +399,7 @@ Result<wire::TreeMergeResult> CallTreeMerge(
         "unexpected frame type in tree merge response: " +
         std::string(net::FrameTypeName(response->type)));
   }
-  return wire::DecodeTreeMergeResponse(response->payload);
+  return wire::DecodeTreeMergeResponse(response->payload, span_batch);
 }
 
 Result<QueryResult> CallShuffleMap(net::Transport& transport,

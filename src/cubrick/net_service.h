@@ -28,6 +28,7 @@
 #include "cubrick/coordinator.h"
 #include "cubrick/server.h"
 #include "cubrick/wire.h"
+#include "net/telemetry.h"
 #include "net/transport.h"
 
 namespace scalewall::cubrick {
@@ -51,10 +52,14 @@ struct CoordinateSideband {
 // (stage 2 of a shuffle join against the server's dim replicas),
 // kCoordinateRequest (plan + ExecuteDistributed with `server_id` as the
 // coordinator; requires the in-process RNG side-band) and
-// kEpochRequest. `ctx` must outlive the handler.
-net::Handler MakeServerNodeHandler(CubrickServer* server,
-                                   cluster::ServerId server_id,
-                                   RegionContext* ctx);
+// kEpochRequest. `ctx` must outlive the handler. The last two need a
+// whole region (catalog, cluster, discovery); a context carrying only a
+// transport for tree-leaf forwarding — a scalewall_node server — answers
+// them kFailedPrecondition. `decode_errors` (optional) counts malformed
+// trace-context blocks, which are dropped while the request still runs.
+net::Handler MakeServerNodeHandler(
+    CubrickServer* server, cluster::ServerId server_id, RegionContext* ctx,
+    net::TelemetryDecodeCounters* decode_errors = nullptr);
 
 // Handler for a region's metadata endpoint: kEpochRequest only.
 net::Handler MakeRegionNodeHandler(RegionContext* ctx);
@@ -64,7 +69,9 @@ net::Handler MakeRegionNodeHandler(RegionContext* ctx);
 // `dims` (optional) ships broadcast-join dimension snapshots with the
 // subquery; nullptr = the replicated path (servers use local replicas).
 // `pool` (optional) is the admitted claim's normalized pool path; the
-// remote server charges the subquery's scan work to it.
+// remote server charges the subquery's scan work to it. `telemetry`
+// (optional) is a trace-context block to send; `span_batch` (optional)
+// receives the response's span batch.
 Result<PartialResult> CallSubquery(
     net::Transport& transport, cluster::ServerId server, const Query& query,
     uint32_t partition, SimDuration remaining_budget,
@@ -72,15 +79,18 @@ Result<PartialResult> CallSubquery(
     const std::string* fingerprint, const exec::CancelToken* cancel,
     obs::TraceContext trace, SimTime trace_time,
     const std::vector<ReplicatedTable>* dims = nullptr,
-    const std::string* pool = nullptr);
+    const std::string* pool = nullptr, const std::string* telemetry = nullptr,
+    std::string* span_batch = nullptr);
 
 // Dispatches one subtree of a tree-merge plan to its aggregator, which
 // recursively executes/forwards the leaves and folds them in ascending
 // partition order before responding with a single merged partial.
+// `span_batch` (optional) receives the response's span batch.
 Result<wire::TreeMergeResult> CallTreeMerge(
     net::Transport& transport, cluster::ServerId aggregator,
     const wire::TreeMergeEnvelope& envelope, const exec::CancelToken* cancel,
-    obs::TraceContext trace, SimTime trace_time);
+    obs::TraceContext trace, SimTime trace_time,
+    std::string* span_batch = nullptr);
 
 // Ships one shuffle stage-1 bucket to a dim-replica host for key →
 // attribute mapping (stage 2); returns the joined groups.

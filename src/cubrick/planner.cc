@@ -38,7 +38,7 @@ int TreeDepth(int leaves, int fanin) {
   int depth = 0;
   int width = leaves;
   while (width > 1) {
-    width = (width + fanin - 1) / fanin;
+    width = width / fanin + (width % fanin != 0);  // ceil, no overflow
     ++depth;
   }
   return depth;
@@ -220,6 +220,10 @@ Result<QueryResult> ApplyShuffleMapping(const Query& query,
       return Status::InvalidArgument(
           "shuffle mapping: missing dimension table replica");
     }
+  }
+  if (bucket.num_aggregations() > query.aggregations.size()) {
+    return Status::InvalidArgument(
+        "shuffle mapping: bucket carries more aggregations than the query");
   }
   const size_t plain = query.group_by.size();
   const size_t raw = query.joins.size();

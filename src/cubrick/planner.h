@@ -177,7 +177,7 @@ int TreeDepth(int leaves, int fanin);
 // the fixed ascending merge order) identical across processes.
 inline int TreeChunkSize(int n, int fanin) {
   if (fanin < 2) return n;
-  return (n + fanin - 1) / fanin;
+  return n / fanin + (n % fanin != 0);  // ceil, without overflow
 }
 
 // --- shuffle-join building blocks (pure; shared by the coordinator,

@@ -50,9 +50,18 @@ Status ReplicatedTable::RestoreColumns(
   if (columns.size() != attributes_.size()) {
     return Status::InvalidArgument("restore: column count mismatch");
   }
-  for (const auto& column : columns) {
-    if (column.size() != key_cardinality_) {
+  for (size_t a = 0; a < columns.size(); ++a) {
+    if (columns[a].size() != key_cardinality_) {
       return Status::InvalidArgument("restore: column length mismatch");
+    }
+    // Scans size dense group-by slots by the attribute's cardinality:
+    // an out-of-domain code would index past them.
+    for (uint32_t code : columns[a]) {
+      if (code != kNoAttribute && code >= attributes_[a].cardinality) {
+        return Status::InvalidArgument(
+            "restore: attribute value out of domain for " +
+            attributes_[a].name);
+      }
     }
   }
   columns_ = std::move(columns);

@@ -6,6 +6,7 @@
 #include "admit/fair_share_tree.h"
 #include "common/logging.h"
 #include "cubrick/planner.h"
+#include "net/event_loop.h"
 
 namespace scalewall::cubrick {
 
@@ -57,7 +58,8 @@ CubrickServer::CubrickServer(sim::Simulation* simulation,
       catalog_(catalog),
       server_(server),
       options_(options),
-      rng_(simulation->rng().Fork(0xC0B1000ULL + server)),
+      rng_(simulation != nullptr ? simulation->rng().Fork(0xC0B1000ULL + server)
+                                 : Rng(0xC0B1000ULL + server)),
       stats_(options_.metrics, server) {
   if (options_.scan_workers > 1) {
     exec_pool_ = std::make_unique<exec::ThreadPool>(options_.scan_workers);
@@ -166,7 +168,7 @@ OverloadSignal CubrickServer::CurrentOverload(SimTime now) {
 }
 
 void CubrickServer::StartMonitors() {
-  if (monitors_started_) return;
+  if (monitors_started_ || simulation_ == nullptr) return;
   monitors_started_ = true;
   simulation_->SchedulePeriodic(options_.monitor_interval,
                                 options_.monitor_interval,
@@ -177,7 +179,7 @@ void CubrickServer::StartMonitors() {
 }
 
 double CubrickServer::PhysicalMemory() const {
-  if (!cluster_->Contains(server_)) return 0;
+  if (cluster_ == nullptr || !cluster_->Contains(server_)) return 0;
   return static_cast<double>(cluster_->Get(server_).memory_bytes);
 }
 
@@ -366,7 +368,7 @@ double CubrickServer::Capacity(std::string_view metric) const {
   }
   if (metric == "ssd_footprint") {
     // Generation 3: SSD available space as the host capacity.
-    if (!cluster_->Contains(server_)) return 0;
+    if (cluster_ == nullptr || !cluster_->Contains(server_)) return 0;
     return static_cast<double>(cluster_->Get(server_).ssd_bytes);
   }
   return 0;
@@ -418,7 +420,7 @@ Result<PartialResult> CubrickServer::ExecutePartial(
     const std::string* fingerprint, exec::ScanPath scan_path,
     const JoinContext* dims_override, const std::string* pool) {
   if (hop_budget < 0) hop_budget = options_.max_forward_hops;
-  if (trace.active() && trace_time < 0) trace_time = simulation_->now();
+  if (trace.active() && trace_time < 0) trace_time = Now();
   auto shard = catalog_->ShardForPartition(query.table, partition);
   if (!shard.ok()) return shard.status();
 
@@ -504,11 +506,15 @@ Result<PartialResult> CubrickServer::ExecutePartial(
   // cached entry carries the older epoch and is conservatively
   // invalidated on its next lookup — never the other way around.
   partial.epoch = it->second.epoch();
-  // Partition span: the engine runs at one frozen sim-instant, so the
-  // span is a point at trace_time; its row/morsel weight is annotated.
+  // Partition span: on the sim clock the engine runs at one frozen
+  // instant, so the span is a point at trace_time; on the wall clock it
+  // spans the measured scan. Its row/morsel weight is annotated.
+  const auto span_time = [&] {
+    return simulation_ != nullptr ? trace_time : Now();
+  };
   obs::TraceContext pspan = trace.Child(
       "partition " + query.table + "/p" + std::to_string(partition),
-      trace_time);
+      span_time());
   pspan.Annotate("server", std::to_string(server_));
   pspan.Annotate("rows", std::to_string(it->second.num_rows()));
 
@@ -533,7 +539,7 @@ Result<PartialResult> CubrickServer::ExecutePartial(
       // a hit it would discard anyway.
       if (cancel != nullptr && cancel->cancelled()) {
         pspan.Annotate("cancelled", "true");
-        pspan.End(trace_time);
+        pspan.End(span_time());
         return Status::Cancelled("partial execution cancelled");
       }
       CachedPartial hit;
@@ -541,7 +547,7 @@ Result<PartialResult> CubrickServer::ExecutePartial(
         if (hit.epoch == partial.epoch && hit.dim_epochs == dim_epochs) {
           ++stats_.cache_hits;
           pspan.Annotate("cache_hit", "true");
-          pspan.End(trace_time);
+          pspan.End(span_time());
           partial.result = std::move(hit.result);
           partial.cache_hit = true;
           return partial;
@@ -578,7 +584,7 @@ Result<PartialResult> CubrickServer::ExecutePartial(
   pspan.Annotate("bricks", std::to_string(partial.result.bricks_scanned));
   pspan.Annotate("rle_skipped",
                  std::to_string(partial.result.bricks_rle_skipped));
-  pspan.End(trace_time);
+  pspan.End(span_time());
   SCALEWALL_RETURN_IF_ERROR(scan_status);
   const int64_t micros = std::chrono::duration_cast<std::chrono::microseconds>(
                              std::chrono::steady_clock::now() - scan_start)
@@ -616,7 +622,7 @@ Result<std::vector<PartialResult>> CubrickServer::ExecutePartialMany(
     const exec::CancelToken* cancel, obs::TraceContext trace,
     SimTime trace_time, cache::CachePolicy cache_policy,
     exec::ScanPath scan_path, const std::string* pool) {
-  if (trace.active() && trace_time < 0) trace_time = simulation_->now();
+  if (trace.active() && trace_time < 0) trace_time = Now();
   // Canonicalize the fingerprint once for the whole fan-out; each
   // per-partition task keys the cache with it directly.
   std::string fp;
@@ -663,6 +669,11 @@ Result<std::vector<PartialResult>> CubrickServer::ExecutePartialMany(
     SCALEWALL_RETURN_IF_ERROR(status);
   }
   return results;
+}
+
+SimTime CubrickServer::Now() const {
+  return simulation_ != nullptr ? simulation_->now()
+                                : net::EventLoop::NowMicros();
 }
 
 int CubrickServer::ExecPoolIdFor(const std::string* pool) {

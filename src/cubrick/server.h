@@ -165,7 +165,11 @@ using PartialResultCache = cache::LruCache<PartialCacheKey, CachedPartial>;
 class CubrickServer : public sm::AppServer {
  public:
   // `catalog` is the deployment-wide table metadata; all pointers must
-  // outlive the server.
+  // outlive the server. `simulation` is the server's clock: null means a
+  // real process (scalewall_node) on the wall clock, whose partition
+  // spans carry measured scan time instead of a frozen sim instant, and
+  // which runs no monitors. `cluster` may be null there too (no host
+  // capacity to export).
   CubrickServer(sim::Simulation* simulation, cluster::Cluster* cluster,
                 Catalog* catalog, cluster::ServerId server,
                 CubrickServerOptions options = {});
@@ -421,6 +425,10 @@ class CubrickServer : public sm::AppServer {
   void RemoveShardData(sm::ShardId shard);
 
   double PhysicalMemory() const;
+
+  // The server's clock: simulated time, or wall-clock microseconds when
+  // built without a simulation.
+  SimTime Now() const;
 
   // Resolves `pool` (a normalized fair-share path) to this server's
   // exec-pool scheduling-pool id, registering it on first sight with

@@ -169,8 +169,12 @@ Result<QueryResult> DecodeQueryResult(net::WireReader& r) {
   if (!r.CheckCount(num_groups, 8)) return Malformed("result groups");
   for (uint32_t g = 0; g < num_groups; ++g) {
     QueryResult::GroupKey key = r.U32Vec();
+    // Every group carries one state per aggregation. Holding the count
+    // to the encoded states also bounds the allocation by the payload.
     const uint32_t num_states = r.U32();
-    if (!r.CheckCount(num_states, 32)) return Malformed("result states");
+    if (num_states != num_aggs || !r.CheckCount(num_states, 32)) {
+      return Malformed("result states");
+    }
     for (uint32_t a = 0; a < num_states; ++a) {
       AggState state;
       state.sum = r.F64();

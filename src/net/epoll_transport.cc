@@ -531,9 +531,11 @@ void EpollTransport::SendBytes(Connection* conn, std::string bytes) {
 
 void EpollTransport::FlushWrites(Connection* conn) {
   while (conn->write_off < conn->write_buf.size()) {
+    // MSG_NOSIGNAL: a peer that closed mid-write fails this send with
+    // EPIPE instead of killing the process with SIGPIPE.
     const ssize_t n =
-        write(conn->fd, conn->write_buf.data() + conn->write_off,
-              conn->write_buf.size() - conn->write_off);
+        send(conn->fd, conn->write_buf.data() + conn->write_off,
+             conn->write_buf.size() - conn->write_off, MSG_NOSIGNAL);
     if (n > 0) {
       conn->write_off += static_cast<size_t>(n);
       continue;

@@ -223,8 +223,10 @@ void HttpAdminServer::MaybeRespond(ClientConn* conn) {
 void HttpAdminServer::FlushClient(ClientConn* conn) {
   const int fd = conn->fd;
   while (conn->out_off < conn->out.size()) {
-    const ssize_t n = write(fd, conn->out.data() + conn->out_off,
-                            conn->out.size() - conn->out_off);
+    // MSG_NOSIGNAL: a client that reset the connection fails this send
+    // with EPIPE/ECONNRESET instead of killing the process with SIGPIPE.
+    const ssize_t n = send(fd, conn->out.data() + conn->out_off,
+                           conn->out.size() - conn->out_off, MSG_NOSIGNAL);
     if (n > 0) {
       conn->out_off += static_cast<size_t>(n);
       continue;

@@ -1,5 +1,6 @@
 #include "node/dataset.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 
@@ -62,15 +63,19 @@ cubrick::ReplicatedTable BuildDimTable() {
   return dim;
 }
 
+cubrick::Catalog BuildCatalog(uint32_t num_partitions) {
+  cubrick::Catalog catalog(/*max_shards=*/std::max(64u, num_partitions));
+  (void)catalog.CreateTable(DatasetTable(), DatasetSchema(), num_partitions);
+  (void)catalog.CreateReplicatedTable(DatasetDimTable(),
+                                      /*key_cardinality=*/64,
+                                      {{"category", /*cardinality=*/8,
+                                        /*range_size=*/2}});
+  return catalog;
+}
+
 const cubrick::Catalog& DatasetCatalog() {
-  static const cubrick::Catalog* catalog = [] {
-    auto* c = new cubrick::Catalog(/*max_shards=*/64);
-    c->CreateTable(DatasetTable(), DatasetSchema());
-    c->CreateReplicatedTable(DatasetDimTable(), /*key_cardinality=*/64,
-                             {{"category", /*cardinality=*/8,
-                               /*range_size=*/2}});
-    return c;
-  }();
+  static const cubrick::Catalog* catalog =
+      new cubrick::Catalog(BuildCatalog(DatasetOptions().num_partitions));
   return *catalog;
 }
 
@@ -85,15 +90,25 @@ uint32_t ServerForPartition(uint32_t partition, uint32_t num_servers) {
   return num_servers == 0 ? 0 : partition % num_servers;
 }
 
+std::vector<std::vector<cubrick::Row>> PartitionRows(
+    const DatasetOptions& options) {
+  std::vector<std::vector<cubrick::Row>> buckets(options.num_partitions);
+  if (buckets.empty()) return buckets;
+  for (cubrick::Row& row : GenerateRows(options)) {
+    buckets[PartitionForRow(DatasetTable(), row, options.num_partitions)]
+        .push_back(std::move(row));
+  }
+  return buckets;
+}
+
 Result<cubrick::TablePartition> BuildPartition(const DatasetOptions& options,
                                                uint32_t partition) {
   cubrick::TablePartition part(DatasetTable(), partition, DatasetSchema());
   for (const cubrick::Row& row : GenerateRows(options)) {
-    if (PartitionForRow(DatasetTable(), row, options.num_partitions) !=
+    if (PartitionForRow(DatasetTable(), row, options.num_partitions) ==
         partition) {
-      continue;
+      SCALEWALL_RETURN_IF_ERROR(part.Insert(row));
     }
-    SCALEWALL_RETURN_IF_ERROR(part.Insert(row));
   }
   return part;
 }
@@ -111,11 +126,14 @@ Result<std::vector<cubrick::ResultRow>> ExecuteLocal(
   }
   const cubrick::JoinContext* jctx = query.joins.empty() ? nullptr : &join;
   cubrick::QueryResult merged(query.aggregations.size());
-  for (uint32_t p = 0; p < options.num_partitions; ++p) {
-    auto part = BuildPartition(options, p);
-    SCALEWALL_RETURN_IF_ERROR(part.status());
+  const std::vector<std::vector<cubrick::Row>> buckets = PartitionRows(options);
+  for (uint32_t p = 0; p < buckets.size(); ++p) {
+    cubrick::TablePartition part(DatasetTable(), p, DatasetSchema());
+    for (const cubrick::Row& row : buckets[p]) {
+      SCALEWALL_RETURN_IF_ERROR(part.Insert(row));
+    }
     cubrick::QueryResult partial(query.aggregations.size());
-    SCALEWALL_RETURN_IF_ERROR(part->Execute(query, partial, jctx));
+    SCALEWALL_RETURN_IF_ERROR(part.Execute(query, partial, jctx));
     merged.Merge(partial);
   }
   return cubrick::MaterializeRows(merged, query);

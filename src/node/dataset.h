@@ -47,8 +47,14 @@ cubrick::TableSchema DatasetSchema();
 const std::string& DatasetDimTable();
 cubrick::ReplicatedTable BuildDimTable();
 
-// Catalog holding the "ads" table and "product_dim" — what the SQL
-// front-end needs to resolve JOIN clauses in the client/oracle roles.
+// Catalog holding the "ads" table at `num_partitions` partitions and
+// "product_dim": what a node server resolves partitions and joins
+// against. Without the table when `num_partitions` is 0 or above the
+// catalog's shard space.
+cubrick::Catalog BuildCatalog(uint32_t num_partitions);
+
+// BuildCatalog at the default partition count — what the SQL front-end
+// needs to resolve JOIN clauses in the client/oracle roles.
 const cubrick::Catalog& DatasetCatalog();
 
 // All rows of the dataset, in generation order.
@@ -63,8 +69,15 @@ uint32_t PartitionForRow(const std::string& table, const cubrick::Row& row,
 // lives on server (p mod num_servers).
 uint32_t ServerForPartition(uint32_t partition, uint32_t num_servers);
 
-// Builds partition `partition` loaded with its share of the rows (in
-// generation order, as Deployment::LoadRows buckets them).
+// All rows bucketed by partition in one pass over the dataset: bucket p
+// holds partition p's share in generation order, as Deployment::LoadRows
+// buckets them.
+std::vector<std::vector<cubrick::Row>> PartitionRows(
+    const DatasetOptions& options);
+
+// Builds partition `partition` loaded with its share of the rows.
+// Generates the whole dataset per call: loading many partitions goes
+// through PartitionRows instead.
 Result<cubrick::TablePartition> BuildPartition(const DatasetOptions& options,
                                                uint32_t partition);
 

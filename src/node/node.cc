@@ -1,11 +1,9 @@
 #include "node/node.h"
 
 #include <algorithm>
-#include <condition_variable>
 #include <cstdio>
-#include <functional>
-#include <mutex>
-#include <optional>
+#include <future>
+#include <memory>
 #include <utility>
 
 #include "cubrick/net_service.h"
@@ -118,279 +116,42 @@ void InstallAdminRoutes(net::HttpAdminServer* admin,
 
 }  // namespace
 
-namespace {
-
-// Resolves the join inputs for `query` on a server: broadcast snapshots
-// shipped in the envelope win; otherwise every join must reference the
-// local "product_dim" replica. Returns null (no join context) for
-// joinless queries. `snapshot_ctx`/`local_ctx` provide the storage and
-// must outlive the returned pointer.
-Result<const cubrick::JoinContext*> ResolveJoins(
-    const cubrick::Query& query,
-    const std::vector<cubrick::ReplicatedTable>& dims,
-    const cubrick::ReplicatedTable& local_dim,
-    cubrick::JoinContext* snapshot_ctx, cubrick::JoinContext* local_ctx) {
-  if (query.joins.empty()) return static_cast<const cubrick::JoinContext*>(nullptr);
-  if (!dims.empty()) {
-    if (dims.size() != query.joins.size()) {
-      return Status::InvalidArgument(
-          "broadcast dim snapshots do not match the query's joins");
-    }
-    for (const cubrick::ReplicatedTable& t : dims) {
-      snapshot_ctx->tables.push_back(&t);
-    }
-    return static_cast<const cubrick::JoinContext*>(snapshot_ctx);
-  }
-  for (const cubrick::Join& j : query.joins) {
-    if (j.dimension_table != DatasetDimTable()) {
-      return Status::NotFound("unknown dimension table " + j.dimension_table);
-    }
-    local_ctx->tables.push_back(&local_dim);
-  }
-  return static_cast<const cubrick::JoinContext*>(local_ctx);
-}
-
-}  // namespace
-
 ServerCore::ServerCore(NodeOptions options, obs::MetricsRegistry* metrics,
                        net::Transport* transport)
     : options_(std::move(options)),
-      transport_(transport),
-      decode_errors_(metrics),
-      dim_(BuildDimTable()) {}
+      catalog_(BuildCatalog(options_.dataset.num_partitions)),
+      server_(/*simulation=*/nullptr, /*cluster=*/nullptr, &catalog_,
+              options_.server_id,
+              [metrics] {
+                cubrick::CubrickServerOptions server_options;
+                server_options.metrics = metrics;
+                return server_options;
+              }()),
+      decode_errors_(metrics) {
+  server_.SetReplicatedTable(BuildDimTable());
+  region_.transport = transport;
+  handler_ = cubrick::MakeServerNodeHandler(&server_, options_.server_id,
+                                            &region_, &decode_errors_);
+}
 
 Status ServerCore::LoadPartitions() {
-  for (uint32_t p = 0; p < options_.dataset.num_partitions; ++p) {
-    if (ServerForPartition(p, options_.num_servers) != options_.server_id) {
-      continue;
+  if (!catalog_.HasTable(DatasetTable())) {
+    return Status::InvalidArgument(
+        "invalid partition count " +
+        std::to_string(options_.dataset.num_partitions));
+  }
+  const std::vector<std::vector<cubrick::Row>> rows =
+      PartitionRows(options_.dataset);
+  for (uint32_t p = 0; p < rows.size(); ++p) {
+    if (ServerForPartition(p, options_.num_servers) == options_.server_id) {
+      server_.ReplacePartitionData({DatasetTable(), p}, rows[p]);
     }
-    auto part = BuildPartition(options_.dataset, p);
-    SCALEWALL_RETURN_IF_ERROR(part.status());
-    partitions_.emplace(p, std::move(part).value());
   }
   return Status::Ok();
 }
 
 Result<net::Message> ServerCore::Handle(const net::Message& request) {
-  switch (request.type) {
-    case net::FrameType::kSubqueryRequest: {
-      auto envelope = cwire::DecodeSubqueryRequest(request.payload);
-      if (!envelope.ok()) return envelope.status();
-      if (envelope->query.table != DatasetTable()) {
-        return Status::NotFound("unknown table " + envelope->query.table);
-      }
-      auto it = partitions_.find(envelope->partition);
-      if (it == partitions_.end()) {
-        return Status::NotFound(
-            "partition " + std::to_string(envelope->partition) +
-            " not hosted on server " + std::to_string(options_.server_id));
-      }
-      SCALEWALL_RETURN_IF_ERROR(
-          envelope->query.Validate(it->second.schema()));
-      cubrick::JoinContext snapshot_ctx, local_ctx;
-      auto jctx = ResolveJoins(envelope->query, envelope->dims, dim_,
-                               &snapshot_ctx, &local_ctx);
-      SCALEWALL_RETURN_IF_ERROR(jctx.status());
-
-      // Telemetry is advisory: a malformed trace-context block is
-      // counted and dropped, and the subquery still runs untraced.
-      net::TraceContextBlock tctx;
-      const Status tstatus =
-          net::DecodeTraceContext(envelope->telemetry, &tctx);
-      if (!tstatus.ok()) decode_errors_.Bump(tstatus);
-
-      // Per-request sink: this process's spans for this subquery only,
-      // shipped back whole as a span batch and never retained here.
-      obs::TraceSink request_sink;
-      obs::TraceContext span;
-      if (tctx.want_spans) {
-        span = request_sink.StartTrace(
-            "partition " + envelope->query.table + "/p" +
-                std::to_string(envelope->partition),
-            net::EventLoop::NowMicros());
-        span.Annotate("server", "s" + std::to_string(options_.server_id));
-      }
-
-      cubrick::PartialResult partial;
-      partial.result = cubrick::QueryResult(envelope->query.aggregations.size());
-      SCALEWALL_RETURN_IF_ERROR(
-          it->second.Execute(envelope->query, partial.result, *jctx));
-      partial.epoch = it->second.epoch();
-
-      std::string telemetry;
-      if (tctx.want_spans) {
-        span.Annotate("rows_scanned",
-                      std::to_string(partial.result.rows_scanned));
-        span.Annotate("bricks", std::to_string(partial.result.bricks_scanned));
-        span.Annotate("rle_skipped",
-                      std::to_string(partial.result.bricks_rle_skipped));
-        span.End(net::EventLoop::NowMicros());
-        telemetry = net::EncodeSpanBatch(request_sink.Spans(span.trace));
-      }
-      return net::Message{net::FrameType::kSubqueryResponse,
-                          cwire::EncodeSubqueryResponse(partial, telemetry)};
-    }
-    case net::FrameType::kTreeMergeRequest: {
-      auto envelope = cwire::DecodeTreeMergeRequest(request.payload);
-      if (!envelope.ok()) return envelope.status();
-      const cwire::TreeMergeEnvelope& env = *envelope;
-      if (env.query.table != DatasetTable()) {
-        return Status::NotFound("unknown table " + env.query.table);
-      }
-      SCALEWALL_RETURN_IF_ERROR(env.query.Validate(DatasetSchema()));
-      cubrick::JoinContext snapshot_ctx, local_ctx;
-      auto jctx =
-          ResolveJoins(env.query, env.dims, dim_, &snapshot_ctx, &local_ctx);
-      SCALEWALL_RETURN_IF_ERROR(jctx.status());
-
-      const size_t n = env.partitions.size();
-      cwire::TreeMergeResult merged;
-      merged.result = cubrick::QueryResult(env.query.aggregations.size());
-      merged.epochs.assign(n, 0);
-      merged.forward_hops.assign(n, 0);
-
-      // Recursive contiguous chunking by TreeChunkSize — the one
-      // function every layer chunks with, so the tree shape (and the
-      // fixed ascending fold order) is identical across processes.
-      // Local leaves scan directly; remote leaves forward as
-      // subqueries; multi-partition sub-chunks whose first partition
-      // lives elsewhere forward as nested tree merges.
-      std::function<Status(size_t, size_t)> run =
-          [&](size_t lo, size_t hi) -> Status {
-        const size_t chunk = static_cast<size_t>(cubrick::TreeChunkSize(
-            static_cast<int>(hi - lo), env.fanin));
-        for (size_t clo = lo; clo < hi; clo += chunk) {
-          const size_t chi = std::min(hi, clo + chunk);
-          if (chi - clo == 1) {
-            const uint32_t p = env.partitions[clo];
-            if (env.servers[clo] == options_.server_id) {
-              auto it = partitions_.find(p);
-              if (it == partitions_.end()) {
-                return Status::NotFound(
-                    "partition " + std::to_string(p) +
-                    " not hosted on server " +
-                    std::to_string(options_.server_id));
-              }
-              cubrick::QueryResult partial(env.query.aggregations.size());
-              SCALEWALL_RETURN_IF_ERROR(
-                  it->second.Execute(env.query, partial, *jctx));
-              merged.result.Merge(partial);
-              merged.epochs[clo] = it->second.epoch();
-            } else {
-              if (transport_ == nullptr) {
-                return Status::FailedPrecondition(
-                    "tree merge (leaf) forwarding requires a transport");
-              }
-              cwire::SubqueryEnvelope sub;
-              sub.query = env.query;
-              sub.partition = p;
-              sub.cache_policy = env.cache_policy;
-              sub.scan_path = env.scan_path;
-              sub.fingerprint = env.fingerprint;
-              sub.remaining_budget = env.remaining_budget;
-              sub.dims = env.dims;
-              auto response = transport_->Call(
-                  cubrick::NodePeerName(env.servers[clo]),
-                  net::Message{net::FrameType::kSubqueryRequest,
-                               cwire::EncodeSubqueryRequest(sub)},
-                  {});
-              if (!response.ok()) return response.status();
-              if (response->type != net::FrameType::kSubqueryResponse) {
-                return Status::Internal(
-                    "unexpected frame type in subquery response: " +
-                    std::string(net::FrameTypeName(response->type)));
-              }
-              auto partial = cwire::DecodeSubqueryResponse(response->payload);
-              if (!partial.ok()) return partial.status();
-              merged.result.Merge(partial->result);
-              merged.epochs[clo] = partial->epoch;
-              merged.forward_hops[clo] = partial->forward_hops + 1;
-            }
-          } else if (env.servers[clo] == options_.server_id) {
-            SCALEWALL_RETURN_IF_ERROR(run(clo, chi));
-          } else {
-            if (transport_ == nullptr) {
-              return Status::FailedPrecondition(
-                  "tree merge (subtree) forwarding requires a transport");
-            }
-            cwire::TreeMergeEnvelope sub = env;
-            sub.partitions.assign(env.partitions.begin() + clo,
-                                  env.partitions.begin() + chi);
-            sub.servers.assign(env.servers.begin() + clo,
-                               env.servers.begin() + chi);
-            sub.telemetry.clear();
-            auto response = transport_->Call(
-                cubrick::NodePeerName(env.servers[clo]),
-                net::Message{net::FrameType::kTreeMergeRequest,
-                             cwire::EncodeTreeMergeRequest(sub)},
-                {});
-            if (!response.ok()) return response.status();
-            if (response->type != net::FrameType::kTreeMergeResponse) {
-              return Status::Internal(
-                  "unexpected frame type in tree merge response: " +
-                  std::string(net::FrameTypeName(response->type)));
-            }
-            auto subres = cwire::DecodeTreeMergeResponse(response->payload);
-            if (!subres.ok()) return subres.status();
-            if (subres->epochs.size() != chi - clo ||
-                subres->forward_hops.size() != chi - clo) {
-              return Status::Internal(
-                  "tree merge response misaligned with request");
-            }
-            merged.result.Merge(subres->result);
-            for (size_t i = clo; i < chi; ++i) {
-              merged.epochs[i] = subres->epochs[i - clo];
-              merged.forward_hops[i] = subres->forward_hops[i - clo];
-            }
-          }
-        }
-        return Status::Ok();
-      };
-      SCALEWALL_RETURN_IF_ERROR(run(0, n));
-      return net::Message{net::FrameType::kTreeMergeResponse,
-                          cwire::EncodeTreeMergeResponse(merged)};
-    }
-    case net::FrameType::kShuffleMapRequest: {
-      auto envelope = cwire::DecodeShuffleMapRequest(request.payload);
-      if (!envelope.ok()) return envelope.status();
-      cubrick::JoinContext jctx;
-      for (const cubrick::Join& j : envelope->query.joins) {
-        if (j.dimension_table != DatasetDimTable()) {
-          return Status::NotFound("unknown dimension table " +
-                                  j.dimension_table);
-        }
-        jctx.tables.push_back(&dim_);
-      }
-      auto mapped =
-          cubrick::ApplyShuffleMapping(envelope->query, jctx, envelope->bucket);
-      if (!mapped.ok()) return mapped.status();
-      return net::Message{net::FrameType::kShuffleMapResponse,
-                          cwire::EncodeShuffleMapResponse(*mapped)};
-    }
-    case net::FrameType::kEpochRequest: {
-      auto probe = cwire::DecodeEpochRequest(request.payload);
-      if (!probe.ok()) return probe.status();
-      if (probe->table != DatasetTable()) {
-        return Status::NotFound("unknown table " + probe->table);
-      }
-      std::vector<uint64_t> epochs(options_.dataset.num_partitions, 0);
-      for (const auto& [p, part] : partitions_) epochs[p] = part.epoch();
-      // Dim epochs append after the partition epochs — the layout the
-      // merged-result cache validates join entries against.
-      for (const std::string& d : probe->dims) {
-        if (d != DatasetDimTable()) {
-          return Status::NotFound("unknown dimension table " + d);
-        }
-        epochs.push_back(dim_.epoch());
-      }
-      return net::Message{net::FrameType::kEpochResponse,
-                          cwire::EncodeEpochResponse(epochs)};
-    }
-    default:
-      return Status::Unimplemented(
-          "server node does not serve frame type " +
-          std::string(net::FrameTypeName(request.type)));
-  }
+  return handler_(request, net::CallSideband{});
 }
 
 ProxyCore::ProxyCore(NodeOptions options, net::Transport* transport,
@@ -495,12 +256,10 @@ Result<net::Message> ProxyCore::Handle(const net::Message& request) {
 
   cubrick::QueryResult scanned(exec_query.aggregations.size());
   std::set<uint32_t> servers;
-  SCALEWALL_RETURN_IF_ERROR(
-      tree ? FanOutTree(query_request, exec_query, dims, fanin, budget,
-                        &scanned, &servers)
-           : FanOutFlat(query_request, exec_query, dims, budget,
-                        traced ? &root : nullptr, start_micros, &scanned,
-                        &servers));
+  SCALEWALL_RETURN_IF_ERROR(FanOut(query_request, exec_query, dims,
+                                   tree ? fanin : 1, budget,
+                                   traced ? &root : nullptr, start_micros,
+                                   &scanned, &servers));
 
   cubrick::QueryResult merged(query.aggregations.size());
   if (shuffle) {
@@ -547,79 +306,115 @@ Result<net::Message> ProxyCore::Handle(const net::Message& request) {
                       cwire::EncodeClientRows(rows)};
 }
 
-Status ProxyCore::FanOutFlat(const cubrick::QueryRequest& request,
-                             const cubrick::Query& exec_query,
-                             const std::vector<cubrick::ReplicatedTable>& dims,
-                             SimDuration budget, obs::TraceContext* root,
-                             int64_t start_micros,
-                             cubrick::QueryResult* merged,
-                             std::set<uint32_t>* servers) {
-  // Fan out one subquery per partition, all in flight at once; the
-  // handler worker blocks while the loop thread services the calls.
+Status ProxyCore::FanOut(const cubrick::QueryRequest& request,
+                         const cubrick::Query& exec_query,
+                         const std::vector<cubrick::ReplicatedTable>& dims,
+                         int fanin, SimDuration budget, obs::TraceContext* root,
+                         int64_t start_micros, cubrick::QueryResult* merged,
+                         std::set<uint32_t>* servers) {
+  // Contiguous chunks by TreeChunkSize — identical to the shape every
+  // aggregator recomputes, so the fold order is fixed cluster-wide.
   const uint32_t num_partitions = options_.dataset.num_partitions;
-  struct Fanout {
-    std::mutex mu;
-    std::condition_variable cv;
-    size_t remaining = 0;
-    std::vector<std::optional<Result<net::Message>>> responses;
+  const uint32_t chunk =
+      fanin >= 2 ? static_cast<uint32_t>(cubrick::TreeChunkSize(
+                       static_cast<int>(num_partitions), fanin))
+                 : 1;
+  struct Chunk {
+    uint32_t lo;
+    uint32_t hi;
+    uint32_t server;
+    obs::TraceContext span;
   };
-  auto fanout = std::make_shared<Fanout>();
-  fanout->remaining = num_partitions;
-  fanout->responses.resize(num_partitions);
-  std::vector<obs::TraceContext> sub_spans(num_partitions);
-  for (uint32_t p = 0; p < num_partitions; ++p) {
-    cwire::SubqueryEnvelope envelope;
-    envelope.query = exec_query;
-    envelope.partition = p;
-    envelope.cache_policy = request.cache_policy;
-    envelope.scan_path = request.scan_path;
-    envelope.remaining_budget = budget;
-    envelope.dims = dims;
-    const uint32_t server = ServerForPartition(p, options_.num_servers);
-    servers->insert(server);
+  std::vector<Chunk> chunks;
+  for (uint32_t lo = 0; lo < num_partitions; lo += chunk) {
+    const uint32_t hi = std::min(num_partitions, lo + chunk);
+    chunks.push_back({lo, hi, ServerForPartition(lo, options_.num_servers), {}});
+  }
+
+  // Every chunk in flight at once; the handler worker blocks on the
+  // responses while the loop thread services the calls.
+  std::vector<std::future<Result<net::Message>>> responses;
+  for (Chunk& ch : chunks) {
+    servers->insert(ch.server);
+    std::string telemetry;
     if (root != nullptr) {
-      sub_spans[p] =
-          root->Child("subquery p" + std::to_string(p), start_micros);
-      sub_spans[p].Annotate("server", cubrick::NodePeerName(server));
+      ch.span = root->Child(
+          ch.hi - ch.lo == 1
+              ? "subquery p" + std::to_string(ch.lo)
+              : "tree merge p" + std::to_string(ch.lo) + "-p" +
+                    std::to_string(ch.hi - 1),
+          start_micros);
+      ch.span.Annotate("server", cubrick::NodePeerName(ch.server));
       net::TraceContextBlock tctx;
       tctx.want_spans = true;
       tctx.trace_id = root->trace;
-      tctx.span_id = sub_spans[p].span;
+      tctx.span_id = ch.span.span;
       tctx.origin = "proxy";
-      envelope.telemetry = net::EncodeTraceContext(tctx);
+      telemetry = net::EncodeTraceContext(tctx);
+    }
+    const auto fill = [&](auto& envelope) {
+      envelope.query = exec_query;
+      envelope.cache_policy = request.cache_policy;
+      envelope.scan_path = request.scan_path;
+      envelope.remaining_budget = budget;
+      envelope.dims = dims;
+      envelope.telemetry = std::move(telemetry);
+    };
+    net::Message message;
+    if (ch.hi - ch.lo == 1) {
+      cwire::SubqueryEnvelope envelope;
+      fill(envelope);
+      envelope.partition = ch.lo;
+      message = net::Message{net::FrameType::kSubqueryRequest,
+                             cwire::EncodeSubqueryRequest(envelope)};
+    } else {
+      cwire::TreeMergeEnvelope envelope;
+      fill(envelope);
+      for (uint32_t p = ch.lo; p < ch.hi; ++p) {
+        envelope.partitions.push_back(p);
+        envelope.servers.push_back(
+            ServerForPartition(p, options_.num_servers));
+      }
+      envelope.fanin = fanin;
+      message = net::Message{net::FrameType::kTreeMergeRequest,
+                             cwire::EncodeTreeMergeRequest(envelope)};
     }
     net::CallOptions call;
     call.timeout = budget;  // 0 = the transport's default timeout
-    transport_->CallAsync(
-        cubrick::NodePeerName(server),
-        net::Message{net::FrameType::kSubqueryRequest,
-                     cwire::EncodeSubqueryRequest(envelope)},
-        call, [fanout, p](Result<net::Message> response) {
-          std::lock_guard<std::mutex> lock(fanout->mu);
-          fanout->responses[p] = std::move(response);
-          if (--fanout->remaining == 0) fanout->cv.notify_all();
-        });
-  }
-  {
-    std::unique_lock<std::mutex> lock(fanout->mu);
-    fanout->cv.wait(lock, [&] { return fanout->remaining == 0; });
+    auto promise = std::make_shared<std::promise<Result<net::Message>>>();
+    responses.push_back(promise->get_future());
+    transport_->CallAsync(cubrick::NodePeerName(ch.server), std::move(message),
+                          call, [promise](Result<net::Message> response) {
+                            promise->set_value(std::move(response));
+                          });
   }
 
-  // Merge in ascending partition order — the coordinator's order, which
-  // is what makes the merged states reproducible. Span batches are
-  // grafted in the same pass (same deterministic order).
-  for (uint32_t p = 0; p < num_partitions; ++p) {
-    Result<net::Message>& response = *fanout->responses[p];
+  // Fold in ascending chunk order — each subtree folded its own range
+  // ascending, so the overall order is the flat merge's. Span batches
+  // are grafted in the same deterministic pass.
+  for (size_t c = 0; c < chunks.size(); ++c) {
+    Result<net::Message> response = responses[c].get();
     if (!response.ok()) return response.status();
-    if (response->type != net::FrameType::kSubqueryResponse) {
+    const bool leaf = chunks[c].hi - chunks[c].lo == 1;
+    const net::FrameType expected = leaf ? net::FrameType::kSubqueryResponse
+                                         : net::FrameType::kTreeMergeResponse;
+    if (response->type != expected) {
       return Status::Internal(
-          "unexpected frame type in subquery response: " +
-          std::string(net::FrameTypeName(response->type)));
+          "unexpected frame type " +
+          std::string(net::FrameTypeName(response->type)) + ", want " +
+          std::string(net::FrameTypeName(expected)));
     }
     std::string telemetry;
-    auto partial = cwire::DecodeSubqueryResponse(response->payload, &telemetry);
-    if (!partial.ok()) return partial.status();
-    merged->Merge(partial->result);
+    const auto fold = [&](auto decoded) -> Status {
+      if (!decoded.ok()) return decoded.status();
+      merged->Merge(decoded->result);
+      return Status::Ok();
+    };
+    SCALEWALL_RETURN_IF_ERROR(
+        leaf ? fold(cwire::DecodeSubqueryResponse(response->payload,
+                                                  &telemetry))
+             : fold(cwire::DecodeTreeMergeResponse(response->payload,
+                                                   &telemetry)));
     if (root != nullptr) {
       std::vector<obs::SpanRecord> batch;
       const Status tstatus = net::DecodeSpanBatch(telemetry, &batch);
@@ -627,116 +422,9 @@ Status ProxyCore::FanOutFlat(const cubrick::QueryRequest& request,
         // Advisory: count, drop, keep the query (and the peer) alive.
         decode_errors_.Bump(tstatus);
       } else if (!batch.empty()) {
-        sink_.Graft(sub_spans[p], batch);
+        sink_.Graft(chunks[c].span, batch);
       }
-      sub_spans[p].End(net::EventLoop::NowMicros());
-    }
-  }
-  return Status::Ok();
-}
-
-Status ProxyCore::FanOutTree(const cubrick::QueryRequest& request,
-                             const cubrick::Query& exec_query,
-                             const std::vector<cubrick::ReplicatedTable>& dims,
-                             int fanin, SimDuration budget,
-                             cubrick::QueryResult* merged,
-                             std::set<uint32_t>* servers) {
-  // Contiguous chunks by TreeChunkSize — identical to the shape every
-  // aggregator recomputes, so the fold order is fixed cluster-wide.
-  const uint32_t num_partitions = options_.dataset.num_partitions;
-  const uint32_t chunk = static_cast<uint32_t>(cubrick::TreeChunkSize(
-      static_cast<int>(num_partitions), fanin));
-  struct Chunk {
-    uint32_t lo;
-    uint32_t hi;
-    uint32_t server;
-  };
-  std::vector<Chunk> chunks;
-  for (uint32_t lo = 0; lo < num_partitions; lo += chunk) {
-    const uint32_t hi = std::min(num_partitions, lo + chunk);
-    chunks.push_back({lo, hi, ServerForPartition(lo, options_.num_servers)});
-  }
-
-  struct Fanout {
-    std::mutex mu;
-    std::condition_variable cv;
-    size_t remaining = 0;
-    std::vector<std::optional<Result<net::Message>>> responses;
-  };
-  auto fanout = std::make_shared<Fanout>();
-  fanout->remaining = chunks.size();
-  fanout->responses.resize(chunks.size());
-  for (size_t c = 0; c < chunks.size(); ++c) {
-    const Chunk& ch = chunks[c];
-    servers->insert(ch.server);
-    net::Message message;
-    if (ch.hi - ch.lo == 1) {
-      // A single-partition chunk needs no aggregator hop.
-      cwire::SubqueryEnvelope envelope;
-      envelope.query = exec_query;
-      envelope.partition = ch.lo;
-      envelope.cache_policy = request.cache_policy;
-      envelope.scan_path = request.scan_path;
-      envelope.remaining_budget = budget;
-      envelope.dims = dims;
-      message = net::Message{net::FrameType::kSubqueryRequest,
-                             cwire::EncodeSubqueryRequest(envelope)};
-    } else {
-      cwire::TreeMergeEnvelope envelope;
-      envelope.query = exec_query;
-      for (uint32_t p = ch.lo; p < ch.hi; ++p) {
-        envelope.partitions.push_back(p);
-        envelope.servers.push_back(
-            ServerForPartition(p, options_.num_servers));
-      }
-      envelope.fanin = fanin;
-      envelope.cache_policy = request.cache_policy;
-      envelope.scan_path = request.scan_path;
-      envelope.remaining_budget = budget;
-      envelope.dims = dims;
-      message = net::Message{net::FrameType::kTreeMergeRequest,
-                             cwire::EncodeTreeMergeRequest(envelope)};
-    }
-    net::CallOptions call;
-    call.timeout = budget;  // 0 = the transport's default timeout
-    transport_->CallAsync(cubrick::NodePeerName(ch.server), message, call,
-                          [fanout, c](Result<net::Message> response) {
-                            std::lock_guard<std::mutex> lock(fanout->mu);
-                            fanout->responses[c] = std::move(response);
-                            if (--fanout->remaining == 0) {
-                              fanout->cv.notify_all();
-                            }
-                          });
-  }
-  {
-    std::unique_lock<std::mutex> lock(fanout->mu);
-    fanout->cv.wait(lock, [&] { return fanout->remaining == 0; });
-  }
-
-  // Fold chunk results in ascending chunk order — each subtree folded
-  // its own range ascending, so the overall contiguous order matches
-  // the flat merge's.
-  for (size_t c = 0; c < chunks.size(); ++c) {
-    Result<net::Message>& response = *fanout->responses[c];
-    if (!response.ok()) return response.status();
-    if (chunks[c].hi - chunks[c].lo == 1) {
-      if (response->type != net::FrameType::kSubqueryResponse) {
-        return Status::Internal(
-            "unexpected frame type in subquery response: " +
-            std::string(net::FrameTypeName(response->type)));
-      }
-      auto partial = cwire::DecodeSubqueryResponse(response->payload);
-      if (!partial.ok()) return partial.status();
-      merged->Merge(partial->result);
-    } else {
-      if (response->type != net::FrameType::kTreeMergeResponse) {
-        return Status::Internal(
-            "unexpected frame type in tree merge response: " +
-            std::string(net::FrameTypeName(response->type)));
-      }
-      auto subres = cwire::DecodeTreeMergeResponse(response->payload);
-      if (!subres.ok()) return subres.status();
-      merged->Merge(subres->result);
+      chunks[c].span.End(net::EventLoop::NowMicros());
     }
   }
   return Status::Ok();
@@ -769,21 +457,8 @@ Status ProxyCore::ShuffleMap(const cubrick::Query& query,
   for (const auto& [b, bucket] : buckets) {
     const uint32_t server = b % num_servers;
     servers->insert(server);
-    cwire::ShuffleMapEnvelope envelope;
-    envelope.query = query;
-    envelope.bucket = bucket;
-    auto response = transport_->Call(
-        cubrick::NodePeerName(server),
-        net::Message{net::FrameType::kShuffleMapRequest,
-                     cwire::EncodeShuffleMapRequest(envelope)},
-        {});
-    if (!response.ok()) return response.status();
-    if (response->type != net::FrameType::kShuffleMapResponse) {
-      return Status::Internal(
-          "unexpected frame type in shuffle map response: " +
-          std::string(net::FrameTypeName(response->type)));
-    }
-    auto joined = cwire::DecodeShuffleMapResponse(response->payload);
+    auto joined = cubrick::CallShuffleMap(*transport_, server, query, bucket,
+                                          /*trace=*/{}, /*trace_time=*/-1);
     if (!joined.ok()) return joined.status();
     mapped->Merge(*joined);
   }

@@ -5,15 +5,17 @@
 //
 //   client --kClientQuery--> proxy --kSubqueryRequest--> server[p % N]
 //
-// Servers host the partitions the deterministic dataset assigns them
-// and answer subqueries by scanning real bricks
-// (TablePartition::Execute). The proxy fans a client query out to every
-// partition's host, merges the partial aggregation states in ascending
-// partition order — the coordinator's merge order — and returns
-// materialized rows. Because the scan, merge and materialization code
-// is shared with the sim engine and the wire codecs are lossless, the
-// rows are byte-identical to an oracle run and to a sim-transport
-// Deployment over the same seed.
+// A server is a cubrick::CubrickServer hosting the partitions the
+// deterministic dataset assigns it, answering every frame through
+// cubrick::MakeServerNodeHandler — the handlers a sim Deployment's
+// servers answer, so the node keeps no copy of the server protocol.
+// The proxy fans a client query out to every partition's host, merges
+// the partial aggregation states in ascending partition order — the
+// coordinator's merge order — and returns materialized rows. Because
+// the scan, merge and materialization code is shared with the sim
+// engine and the wire codecs are lossless, the rows are byte-identical
+// to an oracle run and to a sim-transport Deployment over the same
+// seed.
 //
 // Requests may carry a plan (DESIGN.md §15): a join strategy against
 // the replicated "product_dim" table (replicated / broadcast snapshots
@@ -32,10 +34,10 @@
 //
 // Telemetry plane: when a client query opts into tracing/profiling, the
 // proxy records a root span, sends a trace-context block on every
-// subquery hop, and each server returns its spans as a wire span batch
-// which the proxy grafts (TraceSink::Graft) under the issuing span —
-// one stitched trace tree per query in the proxy's sink, regardless of
-// how many processes did the work. From the stitched tree the proxy
+// subquery and tree-merge hop, and each server returns its spans as a
+// wire span batch which the proxy grafts (TraceSink::Graft) under the
+// issuing span — one stitched trace tree per query in the proxy's sink,
+// regardless of how many processes did the work. From the stitched tree the proxy
 // derives an obs::QueryProfile, feeds the slow-query ring, and (on
 // request.profile) ships the rendered profile and tree to the client.
 
@@ -49,8 +51,11 @@
 #include <vector>
 
 #include "admit/fair_share_tree.h"
+#include "cubrick/catalog.h"
+#include "cubrick/coordinator.h"
 #include "cubrick/planner.h"
 #include "cubrick/request.h"
+#include "cubrick/server.h"
 #include "cubrick/wire.h"
 #include "net/epoll_transport.h"
 #include "net/http_admin.h"
@@ -79,14 +84,16 @@ struct NodeOptions {
   obs::SlowQueryLogOptions slow_log;
 };
 
-// Transport-agnostic server-side protocol logic: hosts the partitions
-// `ServerForPartition` assigns to `server_id` and serves
-// kSubqueryRequest (with replicated or shipped-snapshot joins),
-// kTreeMergeRequest (merge a subtree of partials, forwarding remote
-// leaves over `transport`), kShuffleMapRequest (stage 2 of a shuffle
-// join against the local dim replica) and kEpochRequest. When a
-// subquery carries a trace-context block, the scan is recorded into a
-// per-request TraceSink and shipped back as a span batch.
+// Transport-agnostic server role: a cubrick::CubrickServer hosting the
+// partitions `ServerForPartition` assigns to `server_id` and the
+// "product_dim" replica, answering frames through
+// cubrick::MakeServerNodeHandler — the very handlers a sim Deployment's
+// servers run (kSubqueryRequest, kTreeMergeRequest, kShuffleMapRequest;
+// kEpochRequest and kCoordinateRequest need a region and answer
+// kFailedPrecondition here). The server is built without a simulation,
+// so it runs on the wall clock: the partition spans it ships back for a
+// traced request carry measured scan time. `transport` (optional)
+// forwards the remote leaves of tree merges to peer servers.
 class ServerCore {
  public:
   explicit ServerCore(NodeOptions options,
@@ -98,14 +105,17 @@ class ServerCore {
 
   Result<net::Message> Handle(const net::Message& request);
 
-  size_t num_partitions_hosted() const { return partitions_.size(); }
+  size_t num_partitions_hosted() const {
+    return server_.num_partitions_hosted();
+  }
 
  private:
   NodeOptions options_;
-  net::Transport* transport_;  // null = cannot forward tree leaves
+  cubrick::Catalog catalog_;  // "ads" at dataset.num_partitions + dim
+  cubrick::CubrickServer server_;
+  cubrick::RegionContext region_;  // only `transport`: leaf forwarding
   net::TelemetryDecodeCounters decode_errors_;
-  cubrick::ReplicatedTable dim_;  // local "product_dim" replica
-  std::map<uint32_t, cubrick::TablePartition> partitions_;
+  net::Handler handler_;
 };
 
 // Transport-agnostic proxy-side protocol logic: accepts kClientQuery
@@ -133,27 +143,21 @@ class ProxyCore {
   const admit::FairShareTree& pool_tree() const { return pool_tree_; }
 
  private:
-  // Flat fan-out of `exec_query` (one subquery per partition, all in
-  // flight at once), folding partials into `merged` in ascending
-  // partition order. `root` non-null = record "subquery pN" spans under
-  // it and graft the servers' span batches. `dims` non-empty = ship the
-  // broadcast snapshots with every subquery.
-  Status FanOutFlat(const cubrick::QueryRequest& request,
-                    const cubrick::Query& exec_query,
-                    const std::vector<cubrick::ReplicatedTable>& dims,
-                    SimDuration budget, obs::TraceContext* root,
-                    int64_t start_micros, cubrick::QueryResult* merged,
-                    std::set<uint32_t>* servers);
-  // Tree fan-out: partitions chunk contiguously by TreeChunkSize, each
-  // multi-partition chunk goes to its first partition's host as a
-  // kTreeMergeRequest (single-partition chunks stay plain subqueries),
-  // and chunk results fold in ascending chunk order — the same fixed
-  // ascending-partition order the flat merge uses.
-  Status FanOutTree(const cubrick::QueryRequest& request,
-                    const cubrick::Query& exec_query,
-                    const std::vector<cubrick::ReplicatedTable>& dims,
-                    int fanin, SimDuration budget,
-                    cubrick::QueryResult* merged, std::set<uint32_t>* servers);
+  // Fans `exec_query` out in contiguous partition chunks — one
+  // partition per chunk for flat plans (`fanin` < 2), TreeChunkSize
+  // partitions for tree plans. A one-partition chunk is a plain
+  // subquery; a larger one goes to its first partition's host as a
+  // kTreeMergeRequest. All chunks are in flight at once and fold into
+  // `merged` in ascending chunk order — the flat merge's ascending
+  // partition order. `root` non-null = record a span per chunk under it
+  // and graft the servers' span batches. `dims` non-empty = ship the
+  // broadcast snapshots with every request.
+  Status FanOut(const cubrick::QueryRequest& request,
+                const cubrick::Query& exec_query,
+                const std::vector<cubrick::ReplicatedTable>& dims, int fanin,
+                SimDuration budget, obs::TraceContext* root,
+                int64_t start_micros, cubrick::QueryResult* merged,
+                std::set<uint32_t>* servers);
   // Shuffle stages 2+3: bucket stage-1 groups by their raw join keys,
   // send each bucket to server (bucket % num_servers) for dim mapping,
   // fold mapped buckets in ascending bucket order.

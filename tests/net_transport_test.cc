@@ -3,17 +3,24 @@
 // error propagation with stable status codes, per-call timeouts,
 // bounded in-flight windows with visible backpressure, and teardown.
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <future>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "net/epoll_transport.h"
+#include "net/http_admin.h"
 #include "net/sim_transport.h"
 #include "obs/metrics_registry.h"
 #include "sim/simulation.h"
@@ -294,6 +301,136 @@ TEST(EpollTransportTest, StopFailsPendingCalls) {
   }
   EXPECT_EQ(StatusCode::kUnavailable, status.code());
   pair.server.Stop();
+}
+
+// --- peer resets (SIGPIPE) ---
+//
+// A peer that half-closes (FIN) and then resets (RST) leaves the
+// server's socket in CLOSE_WAIT with a pending EPIPE: the next write to
+// it raises SIGPIPE unless the write passes MSG_NOSIGNAL. Each test
+// below parks the server's handler (on its event-loop thread) until
+// the reset has landed, then lets it write its response. The process
+// must survive and keep serving.
+
+int RawConnect(int port) {
+  const int fd = socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  if (connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+bool SendAll(int fd, const std::string& bytes) {
+  size_t sent = 0;
+  while (sent < bytes.size()) {
+    const ssize_t n = send(fd, bytes.data() + sent, bytes.size() - sent,
+                           MSG_NOSIGNAL);
+    if (n <= 0) return false;
+    sent += static_cast<size_t>(n);
+  }
+  return true;
+}
+
+// Closes `fd` with SO_LINGER 0: the kernel sends RST instead of FIN.
+void ResetConnection(int fd) {
+  linger lg{};
+  lg.l_onoff = 1;
+  lg.l_linger = 0;
+  setsockopt(fd, SOL_SOCKET, SO_LINGER, &lg, sizeof(lg));
+  close(fd);
+}
+
+// Sends `request`, waits for the server to start handling it,
+// half-closes, resets, and lets both land before `release`.
+void ResetWhileHandling(int port, const std::string& request,
+                        std::future<void> entered,
+                        std::promise<void>* release) {
+  const int fd = RawConnect(port);
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(SendAll(fd, request));
+  ASSERT_EQ(std::future_status::ready,
+            entered.wait_for(std::chrono::seconds(10)));
+  shutdown(fd, SHUT_WR);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  ResetConnection(fd);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  release->set_value();
+}
+
+TEST(EpollTransportTest, PeerResetBeforeResponseDoesNotKillProcess) {
+  std::promise<void> entered;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::atomic<int> calls{0};
+  LoopbackPair pair;
+  pair.Start([&](const Message& request,
+                 const CallSideband&) -> Result<Message> {
+    if (calls.fetch_add(1) == 0) {
+      entered.set_value();
+      released.wait();
+    }
+    return Message{FrameType::kPong, std::string(1 << 16, 'x') +
+                                         request.payload};
+  });
+
+  ResetWhileHandling(
+      pair.server.listen_port(),
+      EncodeFrame(FrameType::kSubqueryRequest, /*correlation=*/1, "raw"),
+      entered.get_future(), &release);
+
+  // Still alive, still serving.
+  auto response =
+      pair.client.Call("server", Message{FrameType::kSubqueryRequest, "ok"});
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(2, calls.load());
+  pair.client.Stop();
+  pair.server.Stop();
+}
+
+TEST(HttpAdminTest, ClientResetBeforeResponseDoesNotKillProcess) {
+  EventLoop loop;
+  ASSERT_TRUE(loop.Start());
+  HttpAdminServer admin(&loop);
+  std::promise<void> entered;
+  std::promise<void> release;
+  std::future<void> released = release.get_future();
+  admin.AddRoute("/slow", [&] {
+    entered.set_value();
+    released.wait();
+    HttpResponse response;
+    response.body = std::string(1 << 16, 'x');
+    return response;
+  });
+  admin.AddRoute("/healthz", [] {
+    HttpResponse response;
+    response.body = "ok\n";
+    return response;
+  });
+  ASSERT_TRUE(admin.Listen("127.0.0.1:0").ok());
+
+  ResetWhileHandling(admin.port(), "GET /slow HTTP/1.0\r\n\r\n",
+                     entered.get_future(), &release);
+
+  // Still alive, still serving.
+  const int fd = RawConnect(admin.port());
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(SendAll(fd, "GET /healthz HTTP/1.0\r\n\r\n"));
+  std::string response;
+  char buffer[4096];
+  ssize_t n;
+  while ((n = read(fd, buffer, sizeof(buffer))) > 0) {
+    response.append(buffer, static_cast<size_t>(n));
+  }
+  close(fd);
+  EXPECT_NE(std::string::npos, response.find("HTTP/1.0 200"));
+  admin.Stop();
+  loop.Stop();
 }
 
 }  // namespace

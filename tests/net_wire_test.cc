@@ -343,6 +343,39 @@ TEST(WireDifferentialTest, QueryResultRoundTripsByteStable) {
   }
 }
 
+TEST(WireDifferentialTest, QueryResultStateCountMustMatchAggregations) {
+  // A forged aggregation count would make every decoded group allocate
+  // that many states; a group whose state count differs is rejected, so
+  // the allocation stays bounded by the payload.
+  QueryResult result(2);
+  result.Accumulate({1, 2}, 0, 3.0);
+  result.Accumulate({1, 2}, 1, 4.0);
+  net::WireWriter w;
+  cubrick::wire::EncodeQueryResult(w, result);
+  std::string bytes = std::move(w).str();
+  for (uint32_t forged : {1u, 3u, 1u << 24}) {
+    std::memcpy(bytes.data(), &forged, sizeof(forged));  // leading u32
+    net::WireReader r(bytes);
+    EXPECT_FALSE(cubrick::wire::DecodeQueryResult(r).ok()) << forged;
+  }
+}
+
+TEST(WireDifferentialTest, ReplicatedTableRejectsOutOfDomainCodes) {
+  // Scans size dense group slots by attribute cardinality: a snapshot
+  // code at or above it must not decode.
+  cubrick::ReplicatedTable table("dim", 4, {{"attr", 3, 1}});
+  ASSERT_TRUE(table.Set({1, {2}}).ok());
+  net::WireWriter w;
+  cubrick::wire::EncodeReplicatedTable(w, table);
+  std::string bytes = std::move(w).str();
+  // Column codes are the trailing key_cardinality u32s; key 1's is the
+  // third from the end.
+  const uint32_t bad = 3;
+  std::memcpy(bytes.data() + bytes.size() - 12, &bad, sizeof(bad));
+  net::WireReader r(bytes);
+  EXPECT_FALSE(cubrick::wire::DecodeReplicatedTable(r).ok());
+}
+
 TEST(WireDifferentialTest, SubqueryEnvelopeRoundTripsByteStable) {
   Rng rng(0x5B5);
   for (int i = 0; i < 100; ++i) {
