@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
+
 #include <map>
 #include <memory>
 #include <vector>
@@ -57,6 +59,9 @@ TEST(TreeShapeTest, DepthAndChunkSizes) {
   EXPECT_EQ(TreeChunkSize(8, 2), 4);
   EXPECT_EQ(TreeChunkSize(9, 2), 5);
   EXPECT_EQ(TreeChunkSize(7, 3), 3);
+  // A fan-in off the wire can be anything: the ceiling never overflows.
+  EXPECT_EQ(TreeChunkSize(8, INT_MAX), 1);
+  EXPECT_EQ(TreeDepth(8, INT_MAX), 1);
   // ceil(n / fanin) never yields more than `fanin` chunks.
   for (int n = 1; n <= 40; ++n) {
     for (int fanin = 2; fanin <= 9; ++fanin) {
