@@ -1,11 +1,9 @@
 // Transport microbench: what does scalewall::net cost?
 //
 // Three measurements:
-//  1. Sim-backend mediation overhead — the same deployment workload run
-//     with direct in-process calls vs TransportMode::kSim. The results
-//     are byte-identical by construction (that's the test suite's job);
-//     here we report the wall-clock cost of serializing every
-//     coordinator/proxy hop through the wire codecs, plus the frames
+//  1. Sim-backend cost — a deployment workload whose every proxy,
+//     coordinator and partition-host hop crosses the sim transport's
+//     wire codecs: wall-clock microseconds per query, plus the frames
 //     and bytes a query actually puts on the (virtual) wire.
 //  2. Epoll loopback RTT — real sockets, one echo round-trip per call,
 //     p50/p99/p99.9 over many calls on a single multiplexed connection.
@@ -38,14 +36,13 @@ int64_t WallMicros() {
       .count();
 }
 
-core::DeploymentOptions Options(core::TransportMode transport) {
+core::DeploymentOptions Options() {
   core::DeploymentOptions options;
   options.seed = 7;
   options.topology.regions = 2;
   options.topology.racks_per_region = 2;
   options.topology.servers_per_rack = 4;
   options.max_shards = 5000;
-  options.transport = transport;
   return options;
 }
 
@@ -86,21 +83,14 @@ int main() {
   const int kEchoCalls = quick ? 500 : 5000;
   const int kClusterQueries = quick ? 20 : 200;
 
-  // --- 1: sim mediation overhead ---
-  bench::Section("sim transport vs direct calls (same workload)");
-  core::Deployment direct(Options(core::TransportMode::kDirect));
-  core::Deployment mediated(Options(core::TransportMode::kSim));
-  const int64_t direct_micros = RunSimWorkload(direct, kSimQueries);
-  const int64_t mediated_micros = RunSimWorkload(mediated, kSimQueries);
-  const net::TransportStats& stats = mediated.sim_network()->stats();
+  // --- 1: sim transport cost ---
+  bench::Section("sim transport cost per query (every hop on the wire)");
+  core::Deployment dep(Options());
+  const int64_t micros = RunSimWorkload(dep, kSimQueries);
+  const net::TransportStats& stats = dep.sim_network()->stats();
   std::printf("queries                 %d\n", kSimQueries);
-  std::printf("direct    us/query      %.1f\n",
-              static_cast<double>(direct_micros) / kSimQueries);
-  std::printf("mediated  us/query      %.1f\n",
-              static_cast<double>(mediated_micros) / kSimQueries);
-  std::printf("serialization overhead  %.1f%%\n",
-              100.0 * (static_cast<double>(mediated_micros) - direct_micros) /
-                  static_cast<double>(direct_micros));
+  std::printf("us/query                %.1f\n",
+              static_cast<double>(micros) / kSimQueries);
   std::printf("wire frames/query       %.1f\n",
               static_cast<double>(stats.frames_out.value()) / kSimQueries);
   std::printf("wire bytes/query        %.0f\n",
@@ -188,8 +178,8 @@ int main() {
       "The scalability wall is a tail phenomenon: every hop a query fans "
       "out across is a chance to catch a straggler. The transport keeps "
       "per-hop overhead to one length-prefixed frame each way; the sim "
-      "backend pays only serialization (measured above) and stays "
-      "byte-identical to direct calls, so reliability experiments run on "
+      "backend pays only serialization (measured above) and completes "
+      "inline on the simulated clock, so reliability experiments run on "
       "the exact bytes the epoll backend puts on real sockets.");
   return 0;
 }

@@ -54,9 +54,7 @@ Deployment::Deployment(DeploymentOptions options)
     options_.server_options.virtual_scan_slots =
         options_.scheduler.virtual_scan_slots;
   }
-  if (options_.transport == TransportMode::kSim) {
-    sim_network_ = std::make_unique<net::SimNetwork>(&simulation_, &metrics_);
-  }
+  sim_network_ = std::make_unique<net::SimNetwork>(&simulation_, &metrics_);
   // One independent primary-only SM service per region (Section IV-D).
   for (cluster::RegionId r : cluster_.Regions()) {
     auto region = std::make_unique<Region>();
@@ -95,13 +93,11 @@ Deployment::Deployment(DeploymentOptions options)
         sim::TransientFailureModel(options_.per_host_failure_probability);
     region->context.policy = options_.subquery_policy;
     region->context.planner = options_.planner;
-    if (sim_network_ != nullptr) {
-      // The proxy/coordinator side calls out through one shared client
-      // node; the region's epoch endpoint answers merged-cache probes.
-      region->context.transport = sim_network_->Node("proxy");
-      sim_network_->Node(cubrick::RegionPeerName(r))
-          ->SetHandler(cubrick::MakeRegionNodeHandler(&region->context));
-    }
+    // The proxy/coordinator side calls out through one shared client
+    // node; the region's epoch endpoint answers merged-cache probes.
+    region->context.transport = sim_network_->Node("proxy");
+    sim_network_->Node(cubrick::RegionPeerName(r))
+        ->SetHandler(cubrick::MakeRegionNodeHandler(&region->context));
 
     regions_.push_back(std::move(region));
   }
@@ -185,11 +181,9 @@ void Deployment::ProvisionServer(cluster::ServerId id) {
     server->SetReplicatedTable(master);
   }
   regions_[region]->sm->RegisterAppServer(server.get());
-  if (sim_network_ != nullptr) {
-    sim_network_->Node(cubrick::NodePeerName(id))
-        ->SetHandler(cubrick::MakeServerNodeHandler(
-            server.get(), id, &regions_[region]->context));
-  }
+  sim_network_->Node(cubrick::NodePeerName(id))
+      ->SetHandler(cubrick::MakeServerNodeHandler(server.get(), id,
+                                                  &regions_[region]->context));
   servers_.emplace(id, std::move(server));
 }
 
@@ -285,9 +279,7 @@ Status Deployment::DecommissionServer(cluster::ServerId server) {
         if (it != servers_.end()) it->second->Reset();
         // Its node endpoint goes with it: subsequent transport calls to
         // this server fail kUnavailable instead of reaching a ghost.
-        if (sim_network_ != nullptr) {
-          sim_network_->RemoveNode(cubrick::NodePeerName(server));
-        }
+        sim_network_->RemoveNode(cubrick::NodePeerName(server));
         simulation_.Cancel(*done);
       });
   return Status::Ok();

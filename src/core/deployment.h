@@ -52,16 +52,16 @@ enum class ShardingMode {
   kFull,
 };
 
-// Which path the query hops (proxy -> coordinator -> partition hosts,
-// plus the merged-cache epoch probe) take (DESIGN.md §13).
+// The transport the query path's hops (proxy -> coordinator ->
+// partition hosts, tree merges, shuffle maps, plus the merged-cache
+// epoch probe) cross (DESIGN.md §13). One mode: kept as an option so
+// callers that name it keep compiling.
 enum class TransportMode {
-  // Direct in-process method calls — the seed behaviour.
-  kDirect,
   // scalewall::net sim backend: every hop's request and response passes
-  // through the length-prefixed wire codecs (serialization exercised on
-  // the real data path) while completing inline on the simulated clock —
-  // results, latencies and RNG draws stay byte-identical to kDirect,
-  // and transport metrics/spans are recorded.
+  // through the length-prefixed wire codecs (the code scalewall_node
+  // processes run) while completing inline on the simulated clock — the
+  // backend draws no randomness and adds no latency — and transport
+  // metrics/spans are recorded.
   kSim,
 };
 
@@ -147,7 +147,7 @@ struct DeploymentOptions {
   // Admission control & hierarchical scheduling (DESIGN.md §11/§16).
   SchedulerOptions scheduler;
   // Transport mediating the query path's hops (DESIGN.md §13).
-  TransportMode transport = TransportMode::kDirect;
+  TransportMode transport = TransportMode::kSim;
 };
 
 // Per-table creation overrides.
@@ -255,7 +255,7 @@ class Deployment : public cubrick::ServerDirectory {
   // Distributed-tracing sink (spans recorded only when
   // options.enable_query_tracing is set).
   obs::TraceSink& trace_sink() { return trace_sink_; }
-  // The in-process network (null unless options.transport == kSim).
+  // The in-process network every region's hops cross (never null).
   net::SimNetwork* sim_network() { return sim_network_.get(); }
 
   // cubrick::ServerDirectory: resolves any fleet server to its Cubrick
@@ -343,11 +343,11 @@ class Deployment : public cubrick::ServerDirectory {
   sim::Simulation simulation_;
   cluster::Cluster cluster_;
   std::unique_ptr<cubrick::Catalog> catalog_;
-  // In-process sim network (TransportMode::kSim): regions' contexts
-  // point their `transport` at nodes owned here, and node handlers
-  // capture server/context pointers. Declared before regions_/servers_
-  // so it outlives both — a handler is never invoked during teardown,
-  // but the contexts' transport pointers stay valid for their lifetime.
+  // In-process sim network: regions' contexts point their `transport`
+  // at nodes owned here, and node handlers capture server/context
+  // pointers. Declared before regions_/servers_ so it outlives both — a
+  // handler is never invoked during teardown, but the contexts'
+  // transport pointers stay valid for their lifetime.
   std::unique_ptr<net::SimNetwork> sim_network_;
   std::vector<std::unique_ptr<Region>> regions_;
   std::unordered_map<cluster::ServerId,

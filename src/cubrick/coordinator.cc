@@ -112,6 +112,11 @@ DistributedOutcome ExecuteDistributed(const ExecutionPlan& plan,
     strategy = JoinStrategy::kReplicated;
   }
 
+  if (ctx.transport == nullptr) {
+    outcome.status = Status::FailedPrecondition(
+        "region context has no transport to reach partition hosts");
+    return outcome;
+  }
   CubrickServer* coord_server =
       ctx.directory != nullptr ? ctx.directory->Lookup(coordinator) : nullptr;
   if (coord_server == nullptr || !ctx.cluster->Contains(coordinator) ||
@@ -141,12 +146,6 @@ DistributedOutcome ExecuteDistributed(const ExecutionPlan& plan,
       dim_snapshots.push_back(*replica);
     }
   }
-  JoinContext broadcast_ctx;
-  for (ReplicatedTable& snapshot : dim_snapshots) {
-    broadcast_ctx.tables.push_back(&snapshot);
-  }
-  const JoinContext* dims_override =
-      dim_snapshots.empty() ? nullptr : &broadcast_ctx;
   const std::vector<ReplicatedTable>* wire_dims =
       dim_snapshots.empty() ? nullptr : &dim_snapshots;
 
@@ -308,26 +307,21 @@ DistributedOutcome ExecuteDistributed(const ExecutionPlan& plan,
     if (penalty > 0) host_penalty[server] = penalty;
   }
 
-  // Tree assignments are shipped pre-resolved to aggregators (so a
-  // divergent discovery view cannot split the tree), which means any
-  // retry-driven re-resolution must happen up front. The flat path
-  // keeps its inline re-resolution below, preserving the seed's exact
-  // call sequence.
-  if (tree) {
-    for (Subquery& sub : subqueries) {
-      if (reresolve.count(sub.server) == 0) continue;
-      auto shard = ctx.catalog->ShardForPartition(query.table, sub.partition);
-      if (!shard.ok()) continue;
-      auto fresh = client.ResolveServingFresh(ctx.service, *shard);
-      if (fresh.ok()) sub.exec_server = *fresh;
-    }
+  // Assignments are resolved before dispatch: tree chunks ship them to
+  // their aggregators pre-resolved (so a divergent discovery view cannot
+  // split the tree), so any retry-driven re-resolution against the
+  // authoritative view happens here, for flat and tree plans alike.
+  for (Subquery& sub : subqueries) {
+    if (reresolve.count(sub.server) == 0) continue;
+    auto shard = ctx.catalog->ShardForPartition(query.table, sub.partition);
+    if (!shard.ok()) continue;
+    auto fresh = client.ResolveServingFresh(ctx.service, *shard);
+    if (fresh.ok()) sub.exec_server = *fresh;
   }
 
-  // Execute subqueries (in parallel in simulated time): the distributed
-  // latency is the max over per-partition (retry penalty + hop +
-  // service). Subqueries still outstanding at the hedge quantile of the
-  // latency model get a duplicate dispatch; the first completion wins,
-  // taming the max-over-N tail that drives Figure 5.
+  // Subqueries still outstanding at the hedge quantile of the latency
+  // model get a duplicate dispatch; the first completion wins, taming
+  // the max-over-N tail that drives Figure 5.
   const SimDuration hedge_delay =
       policy.hedge_quantile > 0.0
           ? ctx.latency_model.Quantile(policy.hedge_quantile)
@@ -336,348 +330,218 @@ DistributedOutcome ExecuteDistributed(const ExecutionPlan& plan,
   // coordinator fan-in a wall. 0 (the default) reproduces the seed
   // timing exactly.
   const SimDuration per_partial = ctx.planner.merge_cost_per_partial;
+  const size_t num_leaves = subqueries.size();
+  std::vector<int> fhops(num_leaves, 0);
 
-  if (!tree) {
-    // --- flat merge: every partial funnels into the coordinator ---
-    SimDuration slowest = 0;
-    for (const Subquery& sub : subqueries) {
-      cluster::ServerId exec_server = sub.server;
-      if (reresolve.count(sub.server) > 0) {
-        auto shard =
-            ctx.catalog->ShardForPartition(query.table, sub.partition);
-        if (shard.ok()) {
-          auto fresh = client.ResolveServingFresh(ctx.service, *shard);
-          if (fresh.ok()) exec_server = *fresh;
-        }
-      }
-      CubrickServer* server = ctx.directory->Lookup(exec_server);
-      if (server == nullptr) {
-        outcome.status = Status::Unavailable("server instance missing");
-        outcome.failed_server = exec_server;
-        return outcome;
-      }
-      // Subquery span: opened before dispatch so the server's partition
-      // (and morsel) spans nest under it; its extent is fixed below once
-      // the chain latency is known.
-      obs::TraceContext sspan = trace.Child(
-          "subquery p" + std::to_string(sub.partition), t0);
-      sspan.Annotate("server", std::to_string(exec_server));
-      // With a transport attached, the subquery crosses the wire: the
-      // query and the partial-result aggregation states are serialized and
-      // deserialized on every hop. The modeled latency arithmetic below is
-      // untouched (the sim backend completes inline), so results, timing
-      // and RNG draws stay byte-identical to the direct path.
-      const std::string* claim_pool =
-          ectx.pool_path.empty() ? nullptr : &ectx.pool_path;
-      auto partial =
-          ctx.transport != nullptr
-              ? CallSubquery(*ctx.transport, exec_server, *exec_query,
-                             sub.partition, deadline_budget,
-                             ectx.cache_policy, ectx.scan_path,
-                             exec_fingerprint, &cancel, sspan, t0, wire_dims,
-                             claim_pool)
-              : server->ExecutePartial(*exec_query, sub.partition,
-                                       /*hop_budget=*/-1, &cancel, sspan, t0,
-                                       ectx.cache_policy, exec_fingerprint,
-                                       ectx.scan_path, dims_override,
-                                       claim_pool);
-      if (!partial.ok()) {
-        outcome.status = partial.status();
-        outcome.failed_server = exec_server;
-        outcome.latency = ctx.network_model.SampleHop(rng) +
-                          ctx.latency_model.Sample(rng);
-        sspan.Annotate("status",
-                       std::string(StatusCodeName(partial.status().code())));
-        sspan.End(t0 + outcome.latency);
-        return outcome;
-      }
-      SimDuration hop = exec_server == coordinator
-                            ? 0
-                            : ctx.network_model.SampleHop(rng);
-      // Forwarded requests (graceful-migration window) pay extra hops.
-      for (int h = 0; h < partial->forward_hops; ++h) {
-        hop += ctx.network_model.SampleHop(rng);
-      }
-      SimDuration service = ctx.latency_model.Sample(rng);
-      // Charge the scan against the host's virtual scan queue: under
-      // overload all slots are busy and the subquery waits for one, which
-      // is exactly how real backends degrade — and the backlog this builds
-      // is the overload signal the proxy's admission control sheds on.
-      // A no-op (0 wait) when the server's virtual_scan_slots is 0.
-      const SimDuration scan_wait = server->EnqueueScan(t0 + hop, service);
-      {
-        // The modeled scan (slot wait + service draw) as a "scan" span:
-        // the server's partition span is instantaneous in the simulator
-        // (the draw happens here, after it returned), so this span is
-        // what carries the subquery's scan time into profiles.
-        obs::TraceContext scspan =
-            sspan.Child("scan p" + std::to_string(sub.partition), t0 + hop);
-        if (scan_wait > 0) scspan.Annotate("slot_wait", std::to_string(scan_wait));
-        scspan.End(t0 + hop + scan_wait + service);
-      }
-      SimDuration chain = hop + scan_wait + service;
-      if (hedge_delay > 0 && chain > hedge_delay) {
-        ++outcome.hedges_fired;
-        // The hedge goes to a duplicate replica, not back into this host's
-        // scan queue — it is left uncharged in the overload model.
-        SimDuration hedged = hedge_delay + ctx.network_model.SampleHop(rng) +
-                             ctx.latency_model.Sample(rng);
-        obs::TraceContext hspan = sspan.Child("hedge", t0 + hedge_delay);
-        hspan.Annotate("won", hedged < chain ? "true" : "false");
-        hspan.End(t0 + hedged);
-        if (hedged < chain) {
-          ++outcome.hedge_wins;
-          chain = hedged;
-        }
-      }
-      auto it = host_penalty.find(sub.server);
-      if (it != host_penalty.end()) chain += it->second;
-      slowest = std::max(slowest, chain);
-      if (hop > 0) {
-        // The modeled wire time of this subquery (coordinator -> server
-        // hop plus any migration-forwarding hops) as a "net" child, so
-        // profiles can split subquery wall time into net vs scan.
-        obs::TraceContext nspan = sspan.Child("net s" + std::to_string(sub.server), t0);
-        nspan.End(t0 + hop);
-      }
-      sspan.End(t0 + chain);
-      if (ctx.transport != nullptr) {
-        // The RTT histogram records the modeled chain latency, which is
-        // only known now — after hedging and retry penalties resolved —
-        // not at Call time.
-        ctx.transport->RecordModeledRtt(static_cast<double>(chain) / 1000.0);
-      }
-      outcome.partition_epochs[sub.partition] = partial->epoch;
-      outcome.result.Merge(partial->result);
+  // Subquery span, opened before dispatch so the server's partition (and
+  // morsel) spans nest under it; its extent is fixed once the modeled
+  // chain latency is known.
+  auto open_subquery = [&](const obs::TraceContext& parent, size_t i) {
+    obs::TraceContext sspan = parent.Child(
+        "subquery p" + std::to_string(subqueries[i].partition), t0);
+    sspan.Annotate("server", std::to_string(subqueries[i].exec_server));
+    return sspan;
+  };
+  // Modeled latency of one leaf subquery (in parallel in simulated time
+  // with its siblings): hop from its parent (plus any migration
+  // forwarding hops), scan-queue wait and service draw, hedged per
+  // policy, plus the host's retry penalty.
+  auto model_leaf = [&](size_t i, cluster::ServerId parent_host,
+                        const obs::TraceContext& sspan) -> SimDuration {
+    const Subquery& sub = subqueries[i];
+    SimDuration hop = sub.exec_server == parent_host
+                          ? 0
+                          : ctx.network_model.SampleHop(rng);
+    for (int h = 0; h < fhops[i]; ++h) {
+      hop += ctx.network_model.SampleHop(rng);
     }
-    const SimDuration flat_merge =
-        ctx.merge_overhead +
-        static_cast<SimDuration>(subqueries.size()) * per_partial;
-    outcome.latency = slowest + flat_merge;
-    if (flat_merge > 0) {
-      // The modeled coordinator-side merge, anchored where the slowest
-      // subquery chain completed — the same "merge" vocabulary the node
-      // path records, so BuildQueryProfile folds both identically.
-      obs::TraceContext mspan = trace.Child("merge", t0 + slowest);
-      mspan.End(t0 + slowest + flat_merge);
+    SimDuration service = ctx.latency_model.Sample(rng);
+    // Charge the scan against the host's virtual scan queue: under
+    // overload all slots are busy and the subquery waits for one, which
+    // is exactly how real backends degrade — and the backlog this builds
+    // is the overload signal the proxy's admission control sheds on.
+    // A no-op (0 wait) when the server's virtual_scan_slots is 0.
+    CubrickServer* server = ctx.directory->Lookup(sub.exec_server);
+    const SimDuration scan_wait =
+        server != nullptr ? server->EnqueueScan(t0 + hop, service) : 0;
+    {
+      // The modeled scan (slot wait + service draw) as a "scan" span:
+      // the server's partition span is instantaneous in the simulator
+      // (the draw happens here, after it returned), so this span is
+      // what carries the subquery's scan time into profiles.
+      obs::TraceContext scspan = sspan.Child(
+          "scan p" + std::to_string(sub.partition), t0 + hop);
+      if (scan_wait > 0) {
+        scspan.Annotate("slot_wait", std::to_string(scan_wait));
+      }
+      scspan.End(t0 + hop + scan_wait + service);
     }
-  } else {
-    // --- k-ary tree merge ---
-    //
-    // Data pass first: over a transport each top-level chunk travels as
-    // one kTreeMergeRequest to its aggregator (the host of the chunk's
-    // first partition), which recursively executes/forwards and folds
-    // its subtree in ascending partition order; without one, the
-    // coordinator folds the leaves ascending directly — either way the
-    // merge order is the flat path's exact order, so the result bytes
-    // are identical. The data pass consumes no coordinator RNG, which
-    // is what lets the modeled timing pass below draw in plain
-    // ascending-leaf order in both modes.
-    const size_t num_leaves = subqueries.size();
-    std::vector<uint32_t> parts(num_leaves), hosts(num_leaves);
-    for (size_t i = 0; i < num_leaves; ++i) {
-      parts[i] = subqueries[i].partition;
-      hosts[i] = subqueries[i].exec_server;
+    SimDuration chain = hop + scan_wait + service;
+    if (hedge_delay > 0 && chain > hedge_delay) {
+      ++outcome.hedges_fired;
+      // The hedge goes to a duplicate replica, not back into this host's
+      // scan queue — it is left uncharged in the overload model.
+      SimDuration hedged = hedge_delay + ctx.network_model.SampleHop(rng) +
+                           ctx.latency_model.Sample(rng);
+      obs::TraceContext hspan = sspan.Child("hedge", t0 + hedge_delay);
+      hspan.Annotate("won", hedged < chain ? "true" : "false");
+      hspan.End(t0 + hedged);
+      if (hedged < chain) {
+        ++outcome.hedge_wins;
+        chain = hedged;
+      }
     }
-    std::vector<int> fhops(num_leaves, 0);
-    Status data_status = Status::Ok();
-    cluster::ServerId data_failed = cluster::kInvalidServer;
-    if (ctx.transport != nullptr) {
-      const size_t chunk =
-          static_cast<size_t>(TreeChunkSize(static_cast<int>(num_leaves),
-                                            fanin));
-      for (size_t lo = 0; lo < num_leaves && data_status.ok(); lo += chunk) {
-        const size_t hi = std::min(lo + chunk, num_leaves);
-        if (hi - lo == 1) {
-          auto partial = CallSubquery(
-              *ctx.transport, hosts[lo], *exec_query, parts[lo],
-              deadline_budget, ectx.cache_policy, ectx.scan_path,
-              exec_fingerprint, &cancel, trace, t0, wire_dims,
-              ectx.pool_path.empty() ? nullptr : &ectx.pool_path);
-          if (!partial.ok()) {
-            data_status = partial.status();
-            data_failed = hosts[lo];
-            break;
-          }
-          outcome.partition_epochs[parts[lo]] = partial->epoch;
-          fhops[lo] = partial->forward_hops;
-          outcome.result.Merge(partial->result);
-          continue;
-        }
-        wire::TreeMergeEnvelope envelope;
-        envelope.query = *exec_query;
-        envelope.partitions.assign(parts.begin() + lo, parts.begin() + hi);
-        envelope.servers.assign(hosts.begin() + lo, hosts.begin() + hi);
-        envelope.fanin = fanin;
-        envelope.cache_policy = ectx.cache_policy;
-        envelope.scan_path = ectx.scan_path;
-        if (exec_fingerprint != nullptr) {
-          envelope.fingerprint = *exec_fingerprint;
-        }
-        envelope.remaining_budget = deadline_budget;
-        envelope.pool_path = ectx.pool_path;
-        if (wire_dims != nullptr) envelope.dims = *wire_dims;
-        auto subtree =
-            CallTreeMerge(*ctx.transport, hosts[lo], envelope, &cancel,
-                          trace, t0);
-        if (!subtree.ok()) {
-          data_status = subtree.status();
-          data_failed = hosts[lo];
-          break;
-        }
-        if (subtree->epochs.size() != hi - lo ||
-            subtree->forward_hops.size() != hi - lo) {
-          data_status =
-              Status::Internal("tree merge response misaligned with request");
-          data_failed = hosts[lo];
-          break;
-        }
+    auto it = host_penalty.find(sub.server);
+    if (it != host_penalty.end()) chain += it->second;
+    if (hop > 0) {
+      // The modeled wire time (parent -> host hop plus any forwarding
+      // hops) as a "net" child, so profiles can split subquery wall time
+      // into net vs scan.
+      obs::TraceContext nspan = sspan.Child(
+          "net s" + std::to_string(sub.exec_server), t0);
+      nspan.End(t0 + hop);
+    }
+    sspan.End(t0 + chain);
+    // The RTT histogram records the modeled chain latency, which is only
+    // known now — after hedging and retry penalties resolved — not at
+    // Call time.
+    ctx.transport->RecordModeledRtt(static_cast<double>(chain) / 1000.0);
+    return chain;
+  };
+  // A subtree's modeled latency: interior nodes charge their own merge
+  // (overhead + children * per_partial) plus one forwarding hop toward
+  // their parent.
+  std::function<SimDuration(size_t, size_t, cluster::ServerId,
+                            const obs::TraceContext&)>
+      model_subtree = [&](size_t lo, size_t hi,
+                          cluster::ServerId parent_host,
+                          const obs::TraceContext& parent_span)
+      -> SimDuration {
+    if (hi - lo == 1) {
+      return model_leaf(lo, parent_host, open_subquery(parent_span, lo));
+    }
+    const cluster::ServerId agg = subqueries[lo].exec_server;
+    // NOT the exact string "merge": profiles fold exact-"merge" spans
+    // into the coordinator merge share, and a subtree merge is
+    // precisely the work the tree moved OFF the coordinator.
+    obs::TraceContext tspan = parent_span.Child(
+        "tree merge p" + std::to_string(subqueries[lo].partition) + "-p" +
+            std::to_string(subqueries[hi - 1].partition),
+        t0);
+    tspan.Annotate("server", std::to_string(agg));
+    const size_t chunk = static_cast<size_t>(
+        TreeChunkSize(static_cast<int>(hi - lo), fanin));
+    SimDuration slowest_child = 0;
+    size_t num_chunks = 0;
+    for (size_t clo = lo; clo < hi; clo += chunk) {
+      const size_t chi = std::min(clo + chunk, hi);
+      slowest_child =
+          std::max(slowest_child, model_subtree(clo, chi, agg, tspan));
+      ++num_chunks;
+    }
+    SimDuration chain = slowest_child + ctx.merge_overhead +
+                        static_cast<SimDuration>(num_chunks) * per_partial;
+    if (agg != parent_host) {
+      const SimDuration hop = ctx.network_model.SampleHop(rng);
+      obs::TraceContext nspan =
+          tspan.Child("net s" + std::to_string(agg), t0 + chain);
+      nspan.End(t0 + chain + hop);
+      chain += hop;
+    }
+    tspan.End(t0 + chain);
+    return chain;
+  };
+
+  // Dispatch, then model, one top-level chunk at a time: a flat plan's
+  // chunks are single subqueries; a tree plan's multi-partition chunks
+  // travel as one kTreeMergeRequest to their aggregator (the host of the
+  // chunk's first partition), which executes/forwards and folds its
+  // subtree in ascending partition order. Partials fold here in
+  // ascending chunk order. The attempt's latency is the slowest chunk
+  // chain plus the coordinator's own (chunk-wide) merge.
+  const std::string* claim_pool =
+      ectx.pool_path.empty() ? nullptr : &ectx.pool_path;
+  const size_t top_chunk =
+      tree ? static_cast<size_t>(
+                 TreeChunkSize(static_cast<int>(num_leaves), fanin))
+           : 1;
+  SimDuration slowest = 0;
+  size_t top_chunks = 0;
+  for (size_t lo = 0; lo < num_leaves; lo += top_chunk) {
+    const size_t hi = std::min(lo + top_chunk, num_leaves);
+    const cluster::ServerId host = subqueries[lo].exec_server;
+    Status failed = Status::Ok();
+    obs::TraceContext sspan;
+    if (hi - lo == 1) {
+      sspan = open_subquery(trace, lo);
+      auto partial = CallSubquery(
+          *ctx.transport, host, *exec_query, subqueries[lo].partition,
+          deadline_budget, ectx.cache_policy, ectx.scan_path,
+          exec_fingerprint, &cancel, sspan, t0, wire_dims, claim_pool);
+      if (partial.ok()) {
+        outcome.partition_epochs[subqueries[lo].partition] = partial->epoch;
+        fhops[lo] = partial->forward_hops;
+        outcome.result.Merge(partial->result);
+      } else {
+        failed = partial.status();
+      }
+    } else {
+      wire::TreeMergeEnvelope envelope;
+      envelope.query = *exec_query;
+      for (size_t i = lo; i < hi; ++i) {
+        envelope.partitions.push_back(subqueries[i].partition);
+        envelope.servers.push_back(subqueries[i].exec_server);
+      }
+      envelope.fanin = fanin;
+      envelope.cache_policy = ectx.cache_policy;
+      envelope.scan_path = ectx.scan_path;
+      if (exec_fingerprint != nullptr) envelope.fingerprint = *exec_fingerprint;
+      envelope.remaining_budget = deadline_budget;
+      envelope.pool_path = ectx.pool_path;
+      if (wire_dims != nullptr) envelope.dims = *wire_dims;
+      auto subtree =
+          CallTreeMerge(*ctx.transport, host, envelope, &cancel, trace, t0);
+      if (!subtree.ok()) {
+        failed = subtree.status();
+      } else if (subtree->epochs.size() != hi - lo ||
+                 subtree->forward_hops.size() != hi - lo) {
+        failed =
+            Status::Internal("tree merge response misaligned with request");
+      } else {
         for (size_t i = lo; i < hi; ++i) {
-          outcome.partition_epochs[parts[i]] = subtree->epochs[i - lo];
+          outcome.partition_epochs[subqueries[i].partition] =
+              subtree->epochs[i - lo];
           fhops[i] = subtree->forward_hops[i - lo];
         }
         outcome.result.Merge(subtree->result);
       }
-    } else {
-      for (size_t i = 0; i < num_leaves; ++i) {
-        CubrickServer* server = ctx.directory->Lookup(hosts[i]);
-        if (server == nullptr) {
-          data_status = Status::Unavailable("server instance missing");
-          data_failed = hosts[i];
-          break;
-        }
-        auto partial = server->ExecutePartial(
-            *exec_query, parts[i], /*hop_budget=*/-1, &cancel, trace, t0,
-            ectx.cache_policy, exec_fingerprint, ectx.scan_path,
-            dims_override,
-            ectx.pool_path.empty() ? nullptr : &ectx.pool_path);
-        if (!partial.ok()) {
-          data_status = partial.status();
-          data_failed = hosts[i];
-          break;
-        }
-        outcome.partition_epochs[parts[i]] = partial->epoch;
-        fhops[i] = partial->forward_hops;
-        outcome.result.Merge(partial->result);
-      }
     }
-    if (!data_status.ok()) {
-      outcome.status = data_status;
-      outcome.failed_server = data_failed;
-      outcome.latency = ctx.network_model.SampleHop(rng) +
-                        ctx.latency_model.Sample(rng);
+    if (!failed.ok()) {
+      outcome.latency =
+          ctx.network_model.SampleHop(rng) + ctx.latency_model.Sample(rng);
+      if (hi - lo == 1) {
+        sspan.Annotate("status", std::string(StatusCodeName(failed.code())));
+        sspan.End(t0 + outcome.latency);
+      }
+      outcome.status = std::move(failed);
+      outcome.failed_server = host;
       return outcome;
     }
-
-    // Modeled timing pass: a recursive walk of the same tree shape,
-    // drawing per-leaf hop/service/hedge in ascending partition order.
-    // Interior nodes charge their own merge (overhead + children *
-    // per_partial) plus one forwarding hop toward their parent; the
-    // attempt's latency is the slowest root chain plus the coordinator's
-    // final (fanin-wide, not P-wide) merge.
-    auto model_leaf = [&](size_t i, cluster::ServerId parent_host,
-                          obs::TraceContext& parent_span) -> SimDuration {
-      const Subquery& sub = subqueries[i];
-      CubrickServer* server = ctx.directory->Lookup(sub.exec_server);
-      obs::TraceContext sspan = parent_span.Child(
-          "subquery p" + std::to_string(sub.partition), t0);
-      sspan.Annotate("server", std::to_string(sub.exec_server));
-      SimDuration hop = sub.exec_server == parent_host
-                            ? 0
-                            : ctx.network_model.SampleHop(rng);
-      for (int h = 0; h < fhops[i]; ++h) {
-        hop += ctx.network_model.SampleHop(rng);
-      }
-      SimDuration service = ctx.latency_model.Sample(rng);
-      const SimDuration scan_wait =
-          server != nullptr ? server->EnqueueScan(t0 + hop, service) : 0;
-      {
-        obs::TraceContext scspan = sspan.Child(
-            "scan p" + std::to_string(sub.partition), t0 + hop);
-        if (scan_wait > 0) {
-          scspan.Annotate("slot_wait", std::to_string(scan_wait));
-        }
-        scspan.End(t0 + hop + scan_wait + service);
-      }
-      SimDuration chain = hop + scan_wait + service;
-      if (hedge_delay > 0 && chain > hedge_delay) {
-        ++outcome.hedges_fired;
-        SimDuration hedged = hedge_delay + ctx.network_model.SampleHop(rng) +
-                             ctx.latency_model.Sample(rng);
-        obs::TraceContext hspan = sspan.Child("hedge", t0 + hedge_delay);
-        hspan.Annotate("won", hedged < chain ? "true" : "false");
-        hspan.End(t0 + hedged);
-        if (hedged < chain) {
-          ++outcome.hedge_wins;
-          chain = hedged;
-        }
-      }
-      auto it = host_penalty.find(sub.server);
-      if (it != host_penalty.end()) chain += it->second;
-      if (hop > 0) {
-        obs::TraceContext nspan = sspan.Child(
-            "net s" + std::to_string(sub.exec_server), t0);
-        nspan.End(t0 + hop);
-      }
-      sspan.End(t0 + chain);
-      if (ctx.transport != nullptr) {
-        ctx.transport->RecordModeledRtt(static_cast<double>(chain) / 1000.0);
-      }
-      return chain;
-    };
-    std::function<SimDuration(size_t, size_t, cluster::ServerId,
-                              obs::TraceContext&)>
-        model_subtree = [&](size_t lo, size_t hi,
-                            cluster::ServerId parent_host,
-                            obs::TraceContext& parent_span) -> SimDuration {
-      if (hi - lo == 1) return model_leaf(lo, parent_host, parent_span);
-      const cluster::ServerId agg = subqueries[lo].exec_server;
-      // NOT the exact string "merge": profiles fold exact-"merge" spans
-      // into the coordinator merge share, and a subtree merge is
-      // precisely the work the tree moved OFF the coordinator.
-      obs::TraceContext tspan = parent_span.Child(
-          "tree merge p" + std::to_string(parts[lo]) + "-p" +
-              std::to_string(parts[hi - 1]),
-          t0);
-      tspan.Annotate("server", std::to_string(agg));
-      const size_t chunk = static_cast<size_t>(
-          TreeChunkSize(static_cast<int>(hi - lo), fanin));
-      SimDuration slowest_child = 0;
-      size_t num_chunks = 0;
-      for (size_t clo = lo; clo < hi; clo += chunk) {
-        const size_t chi = std::min(clo + chunk, hi);
-        slowest_child =
-            std::max(slowest_child, model_subtree(clo, chi, agg, tspan));
-        ++num_chunks;
-      }
-      SimDuration chain = slowest_child + ctx.merge_overhead +
-                          static_cast<SimDuration>(num_chunks) * per_partial;
-      if (agg != parent_host) {
-        const SimDuration hop = ctx.network_model.SampleHop(rng);
-        obs::TraceContext nspan =
-            tspan.Child("net s" + std::to_string(agg), t0 + chain);
-        nspan.End(t0 + chain + hop);
-        chain += hop;
-      }
-      tspan.End(t0 + chain);
-      return chain;
-    };
-    SimDuration slowest = 0;
-    size_t top_chunks = 0;
-    const size_t chunk = static_cast<size_t>(
-        TreeChunkSize(static_cast<int>(num_leaves), fanin));
-    for (size_t lo = 0; lo < num_leaves; lo += chunk) {
-      const size_t hi = std::min(lo + chunk, num_leaves);
-      slowest = std::max(slowest, model_subtree(lo, hi, coordinator, trace));
-      ++top_chunks;
-    }
-    const SimDuration root_merge =
-        ctx.merge_overhead + static_cast<SimDuration>(top_chunks) * per_partial;
-    outcome.latency = slowest + root_merge;
-    if (root_merge > 0) {
-      obs::TraceContext mspan = trace.Child("merge", t0 + slowest);
-      mspan.End(t0 + slowest + root_merge);
-    }
+    const SimDuration chain = hi - lo == 1
+                                  ? model_leaf(lo, coordinator, sspan)
+                                  : model_subtree(lo, hi, coordinator, trace);
+    slowest = std::max(slowest, chain);
+    ++top_chunks;
+  }
+  const SimDuration root_merge =
+      ctx.merge_overhead + static_cast<SimDuration>(top_chunks) * per_partial;
+  outcome.latency = slowest + root_merge;
+  if (root_merge > 0) {
+    // The modeled coordinator-side merge, anchored where the slowest
+    // chunk chain completed — the same "merge" vocabulary the node path
+    // records, so BuildQueryProfile folds both identically.
+    obs::TraceContext mspan = trace.Child("merge", t0 + slowest);
+    mspan.End(t0 + slowest + root_merge);
   }
 
   if (strategy == JoinStrategy::kShuffle) {
@@ -715,17 +579,8 @@ DistributedOutcome ExecuteDistributed(const ExecutionPlan& plan,
     SimDuration stage2_max = 0;
     for (auto& [b, bucket] : buckets) {
       const cluster::ServerId map_server = hosts_sorted[b % num_hosts];
-      Result<QueryResult> mapped = Status::Internal("unmapped bucket");
-      if (ctx.transport != nullptr) {
-        mapped = CallShuffleMap(*ctx.transport, map_server, query, bucket,
-                                trace, t_fan);
-      } else {
-        CubrickServer* server = ctx.directory->Lookup(map_server);
-        mapped = server != nullptr
-                     ? server->MapShuffleGroups(query, bucket)
-                     : Result<QueryResult>(Status::Unavailable(
-                           "server instance missing"));
-      }
+      auto mapped = CallShuffleMap(*ctx.transport, map_server, query, bucket,
+                                   trace, t_fan);
       if (!mapped.ok()) {
         outcome.status = mapped.status();
         outcome.failed_server = map_server;

@@ -87,12 +87,12 @@ struct RegionContext {
   PlannerOptions planner;
   // Subquery retry/hedging policy applied by coordinators in this region.
   SubqueryPolicy policy;
-  // When set, the query path's hops (proxy -> coordinator -> partition
-  // hosts, plus the epoch-validation probe) are mediated by this
-  // transport: requests and responses pass through the wire codecs
-  // instead of direct method calls. Null (the default) keeps the seed's
-  // direct-pointer path. The sim backend is byte-identical to direct;
-  // scalewall_node processes plug in the epoll backend.
+  // The transport every hop of the query path crosses (proxy ->
+  // coordinator -> partition hosts, tree merges, shuffle maps, plus the
+  // epoch-validation probe): requests and responses pass through the
+  // wire codecs. Required to execute queries (ExecuteDistributed fails
+  // kFailedPrecondition without one). A Deployment plugs in its sim
+  // network; scalewall_node processes plug in the epoll backend.
   net::Transport* transport = nullptr;
 };
 
@@ -149,7 +149,7 @@ struct DistributedOutcome : ReliabilityCounters {
   // epoch and invalidates.
   std::vector<uint64_t> dim_epochs;
   // The plan this attempt executed (echoed from the ExecutionPlan so
-  // transport-mediated callers see the coordinator's choice).
+  // the proxy, across the wire, sees the coordinator's choice).
   JoinStrategy strategy = JoinStrategy::kReplicated;
   int merge_fanin = 0;  // 0 = flat, >= 2 = k-ary tree
   int tree_depth = 0;   // levels below the coordinator (0 = flat)
@@ -162,8 +162,8 @@ struct DistributedOutcome : ReliabilityCounters {
 // resolved through the coordinator's local discovery view. The plan
 // decides how: join strategy (replicated / broadcast / shuffle) and
 // merge topology (flat / k-ary tree, where servers merge AggState
-// partials from their subtree before forwarding — over a transport the
-// subtree hops ride kTreeMergeRequest frames). Every topology merges in
+// partials from their subtree before forwarding — the subtree hops ride
+// kTreeMergeRequest frames over ctx.transport). Every topology merges in
 // a fixed order (ascending partitions, contiguous chunks), so results
 // are byte-identical across strategies and topologies on the repo's
 // integral datasets (DESIGN.md §15).

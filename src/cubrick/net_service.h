@@ -2,8 +2,8 @@
 //
 // This module binds cubrick's hop logic to scalewall::net: it names the
 // peers, builds the server-side request handlers, and wraps each hop's
-// encode → Call → decode round-trip in a typed helper. The
-// transport-mediated hops when a RegionContext carries a transport:
+// encode → Call → decode round-trip in a typed helper. The hops, each
+// carried by a RegionContext's transport:
 //
 //   proxy --kCoordinateRequest--> coordinator   (SubmitInternal)
 //   coordinator --kSubqueryRequest--> partition host (ExecuteDistributed)
@@ -12,12 +12,12 @@
 //   proxy --kEpochRequest--> region             (merged-cache validation)
 //
 // Under the sim backend these calls complete inline on the simulated
-// clock and are byte-identical to the direct-pointer path: the wire
-// codecs are lossless, partials merge in the same ascending-partition
-// order, and the only RNG involved is the caller's own stream, passed
-// through the in-process side-band (it has no wire form — draw order is
-// what defines an experiment's reproducibility). Over real sockets the
-// same frames flow between scalewall_node processes.
+// clock and are deterministic: the wire codecs are lossless, partials
+// merge in ascending-partition order, and the only RNG involved is the
+// caller's own stream, passed through the in-process side-band (it has
+// no wire form — draw order is what defines an experiment's
+// reproducibility). Over real sockets the same frames flow between
+// scalewall_node processes.
 
 #ifndef SCALEWALL_CUBRICK_NET_SERVICE_H_
 #define SCALEWALL_CUBRICK_NET_SERVICE_H_
@@ -40,7 +40,7 @@ std::string RegionPeerName(cluster::RegionId region);  // "r<id>"
 
 // In-process side-band for coordinate calls (sim backend only): the
 // proxy's RNG stream, which the coordinator's failure/latency draws
-// must consume in exactly the order the direct path would. Carried via
+// consume in proxy order, so one seed fixes a run. Carried via
 // CallSideband::cookie — it has no wire representation by design.
 struct CoordinateSideband {
   Rng* rng = nullptr;

@@ -91,15 +91,11 @@ ExecutionPlan BuildExecutionPlan(const RegionContext& ctx, const Query& query,
               static_cast<double>(dim->key_cardinality) * sizeof(uint32_t) /
               1e6;
   }
-  // One hop's cost: the transport's observed median RTT when it has
-  // samples (scalewall::net metrics), else the region's modeled median.
-  double rtt_ms;
-  if (ctx.transport != nullptr && ctx.transport->stats().rtt_ms.count() > 0) {
-    rtt_ms = ctx.transport->stats().rtt_ms.Quantile(0.5);
-  } else {
-    rtt_ms =
-        static_cast<double>(ctx.network_model.options().median) / 1000.0;
-  }
+  // One hop's cost: the region's modeled median. (The transport's
+  // rtt_ms histogram records whole modeled calls — subquery chains,
+  // attempts, two-hop epoch probes — so it is no per-hop price.)
+  const double rtt_ms =
+      static_cast<double>(ctx.network_model.options().median) / 1000.0;
   const double service_ms =
       static_cast<double>(ctx.latency_model.options().median) / 1000.0;
   const double per_partial_ms =

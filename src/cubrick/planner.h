@@ -17,7 +17,7 @@
 //    with no dim access; stage 2 re-buckets those groups across servers
 //    that map keys to attributes; stage 3 merges the buckets) — chosen
 //    by a cost model over table stats (partition count, dim-table
-//    bytes, fan-out) and the transport's observed RTT;
+//    bytes, fan-out) and the region's modeled network hop;
 //  * a merge topology — flat, or a k-ary aggregation tree where
 //    servers merge AggState partials from their subtree before
 //    forwarding, shrinking the coordinator's fan-in from P partials to
@@ -26,7 +26,8 @@
 // Every topology merges partials in a fixed order (ascending partition,
 // chunks contiguous), so tree-merge results are byte-identical to flat
 // results for exact aggregation states (count/min/max always; sums
-// whenever metric values are integral, as all repo datasets are — the
+// whenever metric values are integral — the node dataset's `spend` is
+// not, and its tree sums can differ from flat in the last bit; the
 // float-associativity carve-out is documented in DESIGN.md §15).
 //
 // The planner is deliberately cheap and deterministic: no RNG, no

@@ -479,8 +479,7 @@ bool CubrickProxy::TryServeValidated(const QueryRequest& request,
   const SimDuration check_latency =
       ctx->network_model.SampleHop(rng_) + ctx->network_model.SampleHop(rng_);
   outcome.latency += check_latency;
-  // With a transport attached the probe is a real metadata roundtrip to
-  // the region's epoch endpoint; otherwise the direct in-process walk.
+  // The probe is a metadata roundtrip to the region's epoch endpoint.
   // Joined dim tables ride the same probe: their epochs sit after the
   // partition epochs in the entry's vector, so a dim update invalidates
   // exactly like a partition ingest does.
@@ -488,14 +487,9 @@ bool CubrickProxy::TryServeValidated(const QueryRequest& request,
   for (const Join& join : request.query.joins) {
     dim_tables.push_back(join.dimension_table);
   }
-  auto epochs =
-      ctx->transport != nullptr
-          ? CallEpochs(*ctx->transport, ctx->region, request.query.table,
-                       dim_tables)
-          : CollectPartitionEpochs(*ctx, request.query.table, dim_tables);
-  if (ctx->transport != nullptr) {
-    ctx->transport->RecordModeledRtt(ToMillis(check_latency));
-  }
+  auto epochs = CallEpochs(*ctx->transport, ctx->region, request.query.table,
+                           dim_tables);
+  ctx->transport->RecordModeledRtt(ToMillis(check_latency));
   if (!epochs.ok() || *epochs != entry.epochs) {
     // Data moved or changed under the entry; the probe's cost is paid
     // and the query falls through to a full execution (which refreshes
@@ -549,8 +543,8 @@ QueryOutcome CubrickProxy::SubmitInternal(const QueryRequest& request,
                                           const exec::CancelToken* cancel) {
   const Query& query = request.query;
   const cluster::RegionId preferred_region = request.preferred_region;
-  // The claim's pool rides every execution hop (direct and wire) so
-  // servers charge scan work back to it.
+  // The claim's pool rides every execution hop so servers charge scan
+  // work back to it.
   const std::string claim_pool =
       admit::NormalizePoolPath(request.claim.pool_path);
   QueryOutcome outcome;
@@ -666,37 +660,15 @@ QueryOutcome CubrickProxy::SubmitInternal(const QueryRequest& request,
         break;
       }
     }
-    // With a transport attached the whole coordinated attempt is a wire
-    // call to the coordinator's node endpoint (the proxy's RNG rides the
-    // in-process side-band so draw order matches the direct path) and
-    // the plan hints travel in the envelope — the coordinator re-plans
-    // against its own transport stats. Otherwise the plan is built here
-    // and executed by direct call.
-    DistributedOutcome attempt;
-    if (ctx->transport != nullptr) {
-      attempt = CallCoordinate(*ctx->transport, *coordinator, query, remaining,
-                               request.cache_policy, request.scan_path,
-                               fingerprint.empty() ? nullptr : &fingerprint,
-                               attempt_start + attempt_latency, rng_, aspan,
-                               request.join_strategy, request.merge_fanin,
-                               &claim_pool, cancel);
-    } else {
-      ExecutionPlan plan =
-          BuildExecutionPlan(*ctx, query, *coordinator, request.join_strategy,
-                             request.merge_fanin);
-      ExecContext ectx;
-      ectx.region = ctx;
-      ectx.rng = &rng_;
-      ectx.deadline_budget = remaining;
-      ectx.trace = aspan;
-      ectx.dispatch_time = attempt_start + attempt_latency;
-      ectx.cache_policy = request.cache_policy;
-      ectx.fingerprint = fingerprint.empty() ? nullptr : &fingerprint;
-      ectx.scan_path = request.scan_path;
-      ectx.pool_path = claim_pool;
-      ectx.cancel = cancel;
-      attempt = ExecuteDistributed(plan, ectx);
-    }
+    // The whole coordinated attempt is a wire call to the coordinator's
+    // node endpoint (the proxy's RNG rides the in-process side-band, so
+    // draws stay in proxy order) and the plan hints travel in the
+    // envelope — the coordinator plans for itself.
+    DistributedOutcome attempt = CallCoordinate(
+        *ctx->transport, *coordinator, query, remaining, request.cache_policy,
+        request.scan_path, fingerprint.empty() ? nullptr : &fingerprint,
+        attempt_start + attempt_latency, rng_, aspan, request.join_strategy,
+        request.merge_fanin, &claim_pool, cancel);
     switch (attempt.strategy) {
       case JoinStrategy::kBroadcast:
         ++stats_.plan_broadcast;
@@ -710,10 +682,8 @@ QueryOutcome CubrickProxy::SubmitInternal(const QueryRequest& request,
     }
     if (attempt.merge_fanin >= 2) ++stats_.tree_merge_queries;
     outcome.latency += attempt_latency + attempt.latency;
-    if (ctx->transport != nullptr) {
-      ctx->transport->RecordModeledRtt(
-          ToMillis(attempt_latency + attempt.latency));
-    }
+    ctx->transport->RecordModeledRtt(
+        ToMillis(attempt_latency + attempt.latency));
     aspan.Annotate("status",
                    std::string(StatusCodeName(attempt.status.code())));
     aspan.End(attempt_start + attempt_latency + attempt.latency);

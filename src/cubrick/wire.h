@@ -14,8 +14,8 @@
 //    fresh default state, which reproduces the encoded state
 //    bit-for-bit. Group iteration follows the result's sorted map
 //    order, so encoding is deterministic and decode preserves merge
-//    order. This is what makes a transport-mediated fan-out
-//    byte-identical to a direct one.
+//    order. This is what makes a fan-out over the wire byte-identical
+//    to merging the in-memory partials.
 //  * Deadlines cross the wire as *remaining budget* (microseconds),
 //    computed at serialization time: the request envelopes zero
 //    Query::deadline and carry `deadline_budget_micros` beside it, so

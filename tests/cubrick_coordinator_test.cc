@@ -9,8 +9,10 @@
 #include "cluster/cluster.h"
 #include "core/deployment.h"
 #include "cubrick/coordinator.h"
+#include "cubrick/net_service.h"
 #include "cubrick/server.h"
 #include "discovery/service_discovery.h"
+#include "net/sim_transport.h"
 #include "sim/simulation.h"
 #include "workload/generators.h"
 
@@ -29,8 +31,10 @@ class MapDirectory : public ServerDirectory {
   std::map<cluster::ServerId, CubrickServer*> servers_;
 };
 
-// A hand-wired single-region setup: 4 servers, one 4-partition table with
-// one partition per server, authoritative discovery mappings.
+// A hand-wired single-region setup: 5 servers (one spare), one
+// 4-partition table with one partition per server, authoritative
+// discovery mappings, and a sim network with one node endpoint per
+// server plus the coordinator's client node.
 class CoordinatorTest : public ::testing::Test {
  protected:
   CoordinatorTest()
@@ -39,7 +43,8 @@ class CoordinatorTest : public ::testing::Test {
                                           .racks_per_region = 1,
                                           .servers_per_rack = 5})),
         sd_(&sim_),
-        catalog_(1000) {
+        catalog_(1000),
+        network_(&sim_) {
     schema_ = workload::MakeSchema(2, 64, 8, 1);
     catalog_.CreateTable("t", schema_, /*initial_partitions=*/4);
     for (cluster::ServerId id : cluster_.AllServers()) {
@@ -69,6 +74,12 @@ class CoordinatorTest : public ::testing::Test {
     context_.directory = &directory_;
     context_.discovery = &sd_;
     context_.failure_model = sim::TransientFailureModel(0.0);
+    context_.transport = network_.Node("client");
+    for (const auto& server : servers_) {
+      network_.Node(NodePeerName(server->server_id()))
+          ->SetHandler(MakeServerNodeHandler(server.get(),
+                                             server->server_id(), &context_));
+    }
   }
 
   Query CountQuery() {
@@ -79,10 +90,13 @@ class CoordinatorTest : public ::testing::Test {
   }
 
   // The redesigned entry point: compile a plan, bundle the per-attempt
-  // inputs in an ExecContext, execute.
+  // inputs in an ExecContext, execute. `merge_fanin` 0 plans flat, >= 2
+  // pins a k-ary tree (fan-in 2 over 4 partitions: two 2-leaf subtrees,
+  // each dispatched as one tree-merge request).
   DistributedOutcome Run(const Query& q, cluster::ServerId coordinator,
-                         Rng& rng) {
-    ExecutionPlan plan = BuildExecutionPlan(context_, q, coordinator);
+                         Rng& rng, int merge_fanin = 0) {
+    ExecutionPlan plan = BuildExecutionPlan(context_, q, coordinator,
+                                            JoinStrategy::kAuto, merge_fanin);
     ExecContext ectx;
     ectx.region = &context_;
     ectx.rng = &rng;
@@ -97,8 +111,11 @@ class CoordinatorTest : public ::testing::Test {
   std::vector<std::unique_ptr<CubrickServer>> servers_;
   std::vector<Row> rows_;
   TableSchema schema_;
+  net::SimNetwork network_;
   RegionContext context_;
 };
+
+constexpr int kFanins[] = {0, 2};
 
 TEST_F(CoordinatorTest, MergesAllPartials) {
   Rng rng(1);
@@ -135,22 +152,50 @@ TEST_F(CoordinatorTest, DeadCoordinatorUnavailable) {
             StatusCode::kUnavailable);
 }
 
+TEST_F(CoordinatorTest, MissingTransportFailsPrecondition) {
+  context_.transport = nullptr;
+  Rng rng(1);
+  EXPECT_EQ(Run(CountQuery(), 0, rng).status.code(),
+            StatusCode::kFailedPrecondition);
+}
+
 TEST_F(CoordinatorTest, DeadPartitionHostFailsRegionAttempt) {
   cluster_.SetHealth(2, cluster::ServerHealth::kDown);
-  Rng rng(1);
-  DistributedOutcome outcome = Run(CountQuery(), 0, rng);
-  // "all table partitions required by the query are required to be
-  // available within that region": the attempt fails, retryable.
-  EXPECT_EQ(outcome.status.code(), StatusCode::kUnavailable);
-  EXPECT_TRUE(outcome.status.IsRetryable());
+  for (int fanin : kFanins) {
+    SCOPED_TRACE("fanin " + std::to_string(fanin));
+    Rng rng(1);
+    DistributedOutcome outcome = Run(CountQuery(), 0, rng, fanin);
+    // "all table partitions required by the query are required to be
+    // available within that region": the attempt fails, retryable.
+    EXPECT_EQ(outcome.status.code(), StatusCode::kUnavailable);
+    EXPECT_TRUE(outcome.status.IsRetryable());
+  }
+}
+
+TEST_F(CoordinatorTest, UnreachablePartitionHostFailsAtDispatch) {
+  // Server 2 still looks healthy, but its endpoint is gone: the flat
+  // subquery to it, and the tree-merge request to it as the aggregator
+  // of partitions 2-3, fail on the wire and name the server.
+  network_.RemoveNode(NodePeerName(2));
+  for (int fanin : kFanins) {
+    SCOPED_TRACE("fanin " + std::to_string(fanin));
+    Rng rng(1);
+    DistributedOutcome outcome = Run(CountQuery(), 0, rng, fanin);
+    EXPECT_EQ(outcome.status.code(), StatusCode::kUnavailable);
+    EXPECT_EQ(outcome.failed_server, 2u);
+    EXPECT_GT(outcome.latency, 0);
+  }
 }
 
 TEST_F(CoordinatorTest, TransientFailureReportsFailedServer) {
   context_.failure_model = sim::TransientFailureModel(1.0);  // always fail
-  Rng rng(1);
-  DistributedOutcome outcome = Run(CountQuery(), 0, rng);
-  EXPECT_EQ(outcome.status.code(), StatusCode::kUnavailable);
-  EXPECT_NE(outcome.failed_server, cluster::kInvalidServer);
+  for (int fanin : kFanins) {
+    SCOPED_TRACE("fanin " + std::to_string(fanin));
+    Rng rng(1);
+    DistributedOutcome outcome = Run(CountQuery(), 0, rng, fanin);
+    EXPECT_EQ(outcome.status.code(), StatusCode::kUnavailable);
+    EXPECT_NE(outcome.failed_server, cluster::kInvalidServer);
+  }
 }
 
 TEST_F(CoordinatorTest, ForwardedPartitionsStillAnswer) {
@@ -165,12 +210,18 @@ TEST_F(CoordinatorTest, ForwardedPartitionsStillAnswer) {
   ASSERT_TRUE(servers_[1]->PrepareDropShard(shard, 4).ok());
   ASSERT_TRUE(servers_[4]->AddShard(shard, sm::ShardRole::kPrimary).ok());
   // Discovery deliberately not updated: clients resolve to server 1,
-  // which forwards.
-  Rng rng(1);
-  DistributedOutcome outcome = Run(CountQuery(), 2, rng);
-  ASSERT_TRUE(outcome.status.ok()) << outcome.status;
-  EXPECT_DOUBLE_EQ(*outcome.result.Value({}, 0, AggOp::kCount), 400.0);
-  EXPECT_GT(servers_[1]->stats().forwarded_requests, 0);
+  // which forwards — whether the coordinator or a tree aggregator
+  // (server 0, for partitions 0-1) sends the subquery.
+  for (int fanin : kFanins) {
+    SCOPED_TRACE("fanin " + std::to_string(fanin));
+    const int64_t forwarded = servers_[1]->stats().forwarded_requests;
+    Rng rng(1);
+    DistributedOutcome outcome = Run(CountQuery(), 2, rng, fanin);
+    ASSERT_TRUE(outcome.status.ok()) << outcome.status;
+    EXPECT_EQ(outcome.merge_fanin, fanin);
+    EXPECT_DOUBLE_EQ(*outcome.result.Value({}, 0, AggOp::kCount), 400.0);
+    EXPECT_GT(servers_[1]->stats().forwarded_requests, forwarded);
+  }
 }
 
 TEST_F(CoordinatorTest, GroupByMergedAcrossPartitions) {

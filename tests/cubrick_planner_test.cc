@@ -2,8 +2,8 @@
 // merge-topology choice), the shuffle-join building blocks, and a
 // randomized differential suite proving that every join strategy ×
 // merge topology produces results byte-identical to the replicated-dim
-// interpreted oracle — across direct and sim transports, serial and
-// morsel-parallel scans (DESIGN.md §15).
+// interpreted oracle — over serial and morsel-parallel scans
+// (DESIGN.md §15).
 
 #include <gtest/gtest.h>
 
@@ -18,6 +18,7 @@
 #include "cubrick/partition.h"
 #include "cubrick/planner.h"
 #include "cubrick/replicated_table.h"
+#include "net/sim_transport.h"
 
 namespace scalewall::cubrick {
 namespace {
@@ -281,6 +282,44 @@ TEST_F(PlanCompilationTest, AutoPicksTreeWhenCoordinatorFaninIsTheWall) {
       << plan.explain;
 }
 
+TEST_F(PlanCompilationTest, TransportRttSamplesDoNotPriceHops) {
+  // The transport's rtt_ms histogram records whole modeled calls
+  // (subquery chains, attempts, two-hop epoch probes: ~20 ms on the
+  // sim), not single hops. Plans price a hop from the network model
+  // alone, so a context whose transport has such samples plans exactly
+  // like one whose transport has none.
+  ctx_.planner.merge_cost_per_partial = 1 * kMillisecond;
+  ctx_.planner.replica_mem_ms_per_mb_host = 1e6;
+  ctx_.planner.ship_ms_per_mb = 1.0;
+  sim::Simulation sim(3);
+  net::SimNetwork network(&sim);
+  ctx_.transport = network.Node("proxy");
+  Query wide;
+  wide.table = "wide";
+  wide.aggregations = {Aggregation{0, AggOp::kCount}};
+  const Query queries[] = {JoinQuery(), wide};
+  std::vector<ExecutionPlan> unsampled;
+  for (const Query& q : queries) {
+    unsampled.push_back(BuildExecutionPlan(ctx_, q, 0));
+  }
+  for (int i = 0; i < 50; ++i) ctx_.transport->RecordModeledRtt(20.0);
+  ASSERT_GT(ctx_.transport->stats().rtt_ms.count(), 0);
+  for (size_t i = 0; i < unsampled.size(); ++i) {
+    const ExecutionPlan plan = BuildExecutionPlan(ctx_, queries[i], 0);
+    const ExecutionPlan& want = unsampled[i];
+    EXPECT_EQ(plan.join_strategy, want.join_strategy) << i;
+    EXPECT_EQ(plan.merge_fanin, want.merge_fanin) << i;
+    EXPECT_EQ(plan.cost_flat_merge_ms, want.cost_flat_merge_ms) << i;
+    EXPECT_EQ(plan.cost_tree_merge_ms, want.cost_tree_merge_ms) << i;
+    EXPECT_EQ(plan.cost_replicated_ms, want.cost_replicated_ms) << i;
+    EXPECT_EQ(plan.cost_broadcast_ms, want.cost_broadcast_ms) << i;
+    EXPECT_EQ(plan.cost_shuffle_ms, want.cost_shuffle_ms) << i;
+    EXPECT_EQ(plan.explain, want.explain) << i;
+  }
+  // Sanity: the wide table still picks the tree on the model's hop.
+  EXPECT_EQ(unsampled[1].merge_fanin, 8);
+}
+
 TEST_F(PlanCompilationTest, UnknownTableDegradesToSeedPlan) {
   Query q = JoinQuery();
   q.table = "ghost";
@@ -292,8 +331,8 @@ TEST_F(PlanCompilationTest, UnknownTableDegradesToSeedPlan) {
 // --- randomized differential suite ---
 //
 // Random join queries execute under all three join strategies × both
-// merge topologies, on three deployments (direct transport with serial
-// scans, direct with morsel-parallel scans, sim transport), and every
+// merge topologies, on two deployments (serial scans and
+// morsel-parallel scans, both over the sim transport), and every
 // merged result must be byte-identical to an interpreted oracle that
 // replays the raw rows through the replicated-dim join semantics.
 // Metric values are integral, so sums are exact in any merge
@@ -358,8 +397,7 @@ class PlannerDifferentialTest : public ::testing::Test {
   static constexpr uint32_t kDays = 16;
   static constexpr uint32_t kCampaigns = 32;
 
-  std::unique_ptr<core::Deployment> MakeDeployment(
-      core::TransportMode transport, int scan_workers) {
+  std::unique_ptr<core::Deployment> MakeDeployment(int scan_workers) {
     core::DeploymentOptions options;
     options.seed = 97;
     options.topology.regions = 1;
@@ -367,7 +405,6 @@ class PlannerDifferentialTest : public ::testing::Test {
     options.topology.servers_per_rack = 4;
     options.max_shards = 5000;
     options.per_host_failure_probability = 0.0;
-    options.transport = transport;
     options.server_options.scan_workers = scan_workers;
     auto dep = std::make_unique<core::Deployment>(options);
     EXPECT_TRUE(dep->CreateDimensionTable(
@@ -461,9 +498,8 @@ TEST_F(PlannerDifferentialTest, AllStrategiesAndTopologiesMatchOracle) {
     std::unique_ptr<core::Deployment> dep;
   };
   Variant variants[] = {
-      {"direct-serial", MakeDeployment(core::TransportMode::kDirect, 0)},
-      {"direct-parallel", MakeDeployment(core::TransportMode::kDirect, 4)},
-      {"sim-serial", MakeDeployment(core::TransportMode::kSim, 0)},
+      {"serial", MakeDeployment(0)},
+      {"parallel", MakeDeployment(4)},
   };
   const JoinStrategy strategies[] = {JoinStrategy::kReplicated,
                                      JoinStrategy::kBroadcast,
@@ -509,7 +545,7 @@ TEST_F(PlannerDifferentialTest, AllStrategiesAndTopologiesMatchOracle) {
 }
 
 TEST_F(PlannerDifferentialTest, AutoStrategyMatchesOracleToo) {
-  auto dep = MakeDeployment(core::TransportMode::kDirect, 0);
+  auto dep = MakeDeployment(0);
   Rng rng(7);
   for (int i = 0; i < 4; ++i) {
     const Query q = RandomJoinQuery(rng);
