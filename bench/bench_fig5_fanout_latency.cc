@@ -172,14 +172,15 @@ void PrintPercentiles(const ProbeResult& r) {
 // Bitwise AggState comparison — the planner's byte-identity contract is
 // stronger than EXPECT_DOUBLE_EQ (no tolerance at all).
 bool SameResult(const cubrick::QueryResult& a, const cubrick::QueryResult& b) {
-  if (a.groups().size() != b.groups().size()) return false;
-  auto ita = a.groups().begin();
-  for (auto itb = b.groups().begin(); itb != b.groups().end(); ++ita, ++itb) {
-    if (ita->first != itb->first) return false;
-    if (ita->second.size() != itb->second.size()) return false;
-    for (size_t i = 0; i < ita->second.size(); ++i) {
-      const cubrick::AggState& x = ita->second[i];
-      const cubrick::AggState& y = itb->second[i];
+  if (a.num_groups() != b.num_groups()) return false;
+  for (size_t g = 0; g < a.num_groups(); ++g) {
+    const cubrick::QueryResult::Group ga = a.group(g);
+    const cubrick::QueryResult::Group gb = b.group(g);
+    if (!std::ranges::equal(ga.key, gb.key)) return false;
+    if (ga.states.size() != gb.states.size()) return false;
+    for (size_t i = 0; i < ga.states.size(); ++i) {
+      const cubrick::AggState& x = ga.states[i];
+      const cubrick::AggState& y = gb.states[i];
       if (std::memcmp(&x.sum, &y.sum, sizeof(double)) != 0 ||
           x.count != y.count ||
           std::memcmp(&x.min, &y.min, sizeof(double)) != 0 ||

@@ -563,12 +563,10 @@ DistributedOutcome ExecuteDistributed(const ExecutionPlan& plan,
                num_hosts));
     std::map<uint32_t, QueryResult> buckets;
     for (const auto& [key, states] : outcome.result.groups()) {
-      const uint32_t b = ShuffleBucket(key, raw, num_buckets);
-      auto [it, inserted] =
-          buckets.try_emplace(b, query.aggregations.size());
-      for (size_t a = 0; a < states.size(); ++a) {
-        it->second.AccumulateState(key, a, states[a]);
-      }
+      // Ascending keys: each bucket is one sorted run.
+      buckets.try_emplace(ShuffleBucket(key, raw, num_buckets),
+                          query.aggregations.size())
+          .first->second.AppendRun(1, key, states);
     }
     const int64_t rows_scanned = outcome.result.rows_scanned;
     const int64_t bricks_scanned = outcome.result.bricks_scanned;

@@ -89,6 +89,16 @@ bool PruneBrick(const TableSchema& schema, const PruningPlan& plan,
   return false;
 }
 
+// One span per scanned brick; the name is only built when tracing.
+void BrickSpan(const obs::TraceContext& trace, SimTime time,
+               const Brick& brick) {
+  if (!trace.active()) return;
+  obs::TraceContext span =
+      trace.Child("brick " + std::to_string(brick.id()), time);
+  span.Annotate("rows", std::to_string(brick.num_rows()));
+  span.End(time);
+}
+
 }  // namespace
 
 Status TablePartition::Insert(const Row& row) {
@@ -181,10 +191,7 @@ Status TablePartition::Execute(const Query& query, QueryResult& result,
                                    "/" + std::to_string(partition_));
         }
         Brick* brick = survivors[i];
-        obs::TraceContext bspan =
-            trace.Child("brick " + std::to_string(brick->id()), trace_time);
-        bspan.Annotate("rows", std::to_string(brick->num_rows()));
-        bspan.End(trace_time);
+        BrickSpan(trace, trace_time, *brick);
         brick->Touch();
         ++result.bricks_scanned;
         if (brick->CanSkipCompressed(plan)) {
@@ -211,10 +218,7 @@ Status TablePartition::Execute(const Query& query, QueryResult& result,
                                  "/" + std::to_string(partition_));
       }
       Brick* brick = survivors[i];
-      obs::TraceContext bspan =
-          trace.Child("brick " + std::to_string(brick->id()), trace_time);
-      bspan.Annotate("rows", std::to_string(brick->num_rows()));
-      bspan.End(trace_time);
+      BrickSpan(trace, trace_time, *brick);
       brick->Scan(schema_, query, result, &decompressions_, join);
       if (metrics != nullptr) ++metrics->executed;
     }

@@ -186,7 +186,7 @@ Query MakeShuffleScanQuery(const Query& query) {
   return stage1;
 }
 
-uint32_t ShuffleBucket(const QueryResult::GroupKey& key, size_t num_join_keys,
+uint32_t ShuffleBucket(std::span<const uint32_t> key, size_t num_join_keys,
                        uint32_t num_buckets) {
   if (num_buckets <= 1) return 0;
   // FNV-1a over the raw join-key values (the trailing num_join_keys

@@ -37,6 +37,7 @@
 #define SCALEWALL_CUBRICK_PLANNER_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -194,7 +195,7 @@ Query MakeShuffleScanQuery(const Query& query);
 // Deterministic stage-2 bucket of one stage-1 group key: FNV-1a over
 // the trailing `num_join_keys` raw key values. Identical across
 // processes and platforms by construction (no std::hash).
-uint32_t ShuffleBucket(const QueryResult::GroupKey& key, size_t num_join_keys,
+uint32_t ShuffleBucket(std::span<const uint32_t> key, size_t num_join_keys,
                        uint32_t num_buckets);
 
 // Stage 2: maps one bucket of stage-1 groups through the dimension

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 namespace scalewall::cubrick {
 
@@ -94,7 +95,7 @@ std::vector<ResultRow> MaterializeRows(const QueryResult& result,
   rows.reserve(result.num_groups());
   for (const auto& [key, states] : result.groups()) {
     ResultRow row;
-    row.key = key;
+    row.key.assign(key.begin(), key.end());
     row.values.reserve(query.aggregations.size());
     for (size_t a = 0; a < query.aggregations.size(); ++a) {
       double v = a < states.size()
@@ -174,23 +175,65 @@ std::string CanonicalQueryFingerprint(const Query& query) {
 }
 
 size_t ApproxResultBytes(const QueryResult& result) {
-  size_t bytes = sizeof(QueryResult);
-  for (const auto& [key, states] : result.groups()) {
-    // Map node + key vector + AggState vector, plus allocator overhead.
-    bytes += 64 + key.size() * sizeof(uint32_t) +
-             states.size() * sizeof(AggState);
+  // The charge of the former map layout: an 88-byte result plus, per
+  // group, a map node, its key vector and its AggState vector. Keeping
+  // it keeps every cache budget, eviction and hit ratio where it was.
+  return 88 + result.num_groups() *
+                  (64 + result.key_arity() * sizeof(uint32_t) +
+                   result.num_aggregations() * sizeof(AggState));
+}
+
+namespace {
+
+bool KeyLess(const uint32_t* a, const uint32_t* b, size_t arity) {
+  return std::lexicographical_compare(a, a + arity, b, b + arity);
+}
+
+}  // namespace
+
+AggState* QueryResult::StatesFor(std::span<const uint32_t> key) {
+  if (!index_) {
+    // Start inserting: index the held groups (slot g == group g).
+    Compact();
+    if (num_groups_ == 0) arity_ = key.size();
+    index_.emplace(arity_);
+    for (size_t g = 0; g < num_groups_; ++g) {
+      index_->SlotFor(keys_.data() + g * arity_);
+    }
+    keys_.clear();
+    sorted_ = false;
   }
-  return bytes;
+  const size_t slot = index_->SlotFor(key.data());
+  if (slot == num_groups_) states_.resize(++num_groups_ * num_aggregations_);
+  return states_.data() + slot * num_aggregations_;
+}
+
+void QueryResult::AppendRun(size_t num_groups, std::span<const uint32_t> keys,
+                            std::span<const AggState> states) {
+  if (num_groups == 0) return;
+  if (index_) Compact();
+  if (num_groups_ == 0) {
+    arity_ = keys.size() / num_groups;
+  } else if (!KeyLess(keys_.data() + keys_.size() - arity_, keys.data(),
+                      arity_)) {
+    sorted_ = false;
+  }
+  keys_.insert(keys_.end(), keys.begin(), keys.end());
+  for (const AggState& state : states) states_.emplace_back().Merge(state);
+  num_groups_ += num_groups;
 }
 
 void QueryResult::Merge(const QueryResult& other) {
   if (num_aggregations_ == 0) num_aggregations_ = other.num_aggregations_;
-  for (const auto& [key, states] : other.groups_) {
-    auto& mine = groups_[key];
-    if (mine.size() < states.size()) mine.resize(states.size());
-    for (size_t i = 0; i < states.size(); ++i) {
-      mine[i].Merge(states[i]);
-    }
+  other.Compact();
+  if (other.num_aggregations_ == num_aggregations_ &&
+      (num_groups_ == 0 || other.arity_ == arity_)) {
+    // A partial at least half this size folds in now (one linear merge
+    // keeps an overlapping fan-in small); a smaller one waits as a run.
+    const size_t split = num_groups_;
+    const bool now = sorted_ && !index_ && other.num_groups_ * 2 >= split;
+    AppendRun(other.num_groups_, other.keys_, other.states_);
+    if (now && !sorted_) Fold(split);
   }
   rows_scanned += other.rows_scanned;
   bricks_scanned += other.bricks_scanned;
@@ -198,16 +241,66 @@ void QueryResult::Merge(const QueryResult& other) {
   bricks_rle_skipped += other.bricks_rle_skipped;
 }
 
+void QueryResult::Compact() const {
+  if (index_) {
+    // The index holds the inserted keys contiguously, in slot order.
+    keys_.assign(index_->KeyAt(0), index_->KeyAt(0) + num_groups_ * arity_);
+    index_.reset();
+  }
+  if (!sorted_) Fold(0);
+}
+
+void QueryResult::Fold(size_t split) const {
+  const size_t ar = arity_;
+  const size_t na = num_aggregations_;
+  const auto key = [&](size_t g) { return keys_.data() + g * ar; };
+  const auto less = [&](uint32_t a, uint32_t b) {
+    return KeyLess(key(a), key(b), ar);
+  };
+  // Stable: equal keys stay in append order, so each folds in the order
+  // its partial was merged.
+  std::vector<uint32_t> order(num_groups_);
+  std::iota(order.begin(), order.end(), 0u);
+  if (split > 0) {
+    std::inplace_merge(order.begin(), order.begin() + split, order.end(),
+                       less);
+  } else {
+    std::stable_sort(order.begin(), order.end(), less);
+  }
+  std::vector<uint32_t> keys(keys_.size());
+  std::vector<AggState> states(states_.size());
+  size_t n = 0;
+  for (uint32_t g : order) {
+    const AggState* in = states_.data() + size_t{g} * na;
+    if (n > 0 && std::equal(key(g), key(g) + ar, keys.data() + (n - 1) * ar)) {
+      AggState* out = states.data() + (n - 1) * na;
+      for (size_t a = 0; a < na; ++a) out[a].Merge(in[a]);
+    } else {
+      std::copy_n(key(g), ar, keys.data() + n * ar);
+      std::copy_n(in, na, states.data() + n * na);
+      ++n;
+    }
+  }
+  keys.resize(n * ar);
+  states.resize(n * na);
+  num_groups_ = n;
+  keys_ = std::move(keys);
+  states_ = std::move(states);
+  sorted_ = true;
+}
+
 Result<double> QueryResult::Value(const GroupKey& key, size_t agg,
                                   AggOp op) const {
-  auto it = groups_.find(key);
-  if (it == groups_.end()) {
+  const auto all = groups();
+  const auto it = std::ranges::lower_bound(
+      all, key, std::ranges::lexicographical_compare, &Group::key);
+  if (it == all.end() || !std::ranges::equal((*it).key, key)) {
     return Status::NotFound("group key not present in result");
   }
-  if (agg >= it->second.size()) {
+  if (agg >= num_aggregations_) {
     return Status::InvalidArgument("aggregation index out of range");
   }
-  return it->second[agg].Finalize(op);
+  return (*it).states[agg].Finalize(op);
 }
 
 }  // namespace scalewall::cubrick

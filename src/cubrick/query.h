@@ -11,13 +11,16 @@
 
 #include <cstdint>
 #include <limits>
-#include <map>
+#include <optional>
+#include <ranges>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
 #include "common/time.h"
 #include "cubrick/schema.h"
+#include "vec/group.h"
 
 namespace scalewall::cubrick {
 
@@ -137,20 +140,31 @@ struct AggState {
 
 // Partial (or fully merged) result of a query: one AggState per
 // aggregation, per group key. Group key = values of the group_by
-// dimensions, in query order; a single empty key when there is no
-// GROUP BY.
+// dimensions, in query order, then any joined attributes; a single
+// empty key when there is no GROUP BY.
+//
+// Flat layout: keys of key_arity() values packed in one array, states
+// num_aggregations() per group in another. Merge folds a partial of at
+// least half this size in by one linear merge and appends a smaller one
+// as a sorted run, which the next read folds by a stable sort; equal
+// keys fold in merge order either way (float bits as folding one by
+// one). Reads compact in place: read a result before threads share it.
 class QueryResult {
  public:
   using GroupKey = std::vector<uint32_t>;
+
+  // One group, viewed in place.
+  struct Group {
+    std::span<const uint32_t> key;     // key_arity() values
+    std::span<const AggState> states;  // num_aggregations() states
+  };
 
   explicit QueryResult(size_t num_aggregations = 0)
       : num_aggregations_(num_aggregations) {}
 
   // Accumulates one input value for aggregation `agg` under `key`.
   void Accumulate(const GroupKey& key, size_t agg, double value) {
-    auto& states = groups_[key];
-    if (states.size() < num_aggregations_) states.resize(num_aggregations_);
-    states[agg].Add(value);
+    StatesFor(key)[agg].Add(value);
   }
 
   // Folds a fully accumulated state into aggregation `agg` under `key`.
@@ -160,18 +174,45 @@ class QueryResult {
   // flat slot arrays and still emit byte-identical results.
   void AccumulateState(const GroupKey& key, size_t agg,
                        const AggState& state) {
-    auto& states = groups_[key];
-    if (states.size() < num_aggregations_) states.resize(num_aggregations_);
-    states[agg].Merge(state);
+    StatesFor(key)[agg].Merge(state);
   }
 
-  // Merges another partial result (same query shape).
+  // Appends `num_groups` groups (strictly ascending `keys`,
+  // num_aggregations() `states` each), folding each state into a
+  // default one as AccumulateState would.
+  void AppendRun(size_t num_groups, std::span<const uint32_t> keys,
+                 std::span<const AggState> states);
+
+  // Merges a partial of the same query shape (else only its counters).
   void Merge(const QueryResult& other);
 
-  size_t num_groups() const { return groups_.size(); }
+  // Folds pending inserts and runs into one ascending run (every read).
+  void Compact() const;
+
+  size_t num_groups() const {
+    Compact();
+    return num_groups_;
+  }
   size_t num_aggregations() const { return num_aggregations_; }
-  const std::map<GroupKey, std::vector<AggState>>& groups() const {
-    return groups_;
+  size_t key_arity() const { return arity_; }
+  Group group(size_t g) const {
+    Compact();
+    return {{keys_.data() + g * arity_, arity_},
+            {states_.data() + g * num_aggregations_, num_aggregations_}};
+  }
+  // Every group, in ascending key order.
+  auto groups() const {
+    return std::views::iota(size_t{0}, num_groups()) |
+           std::views::transform([this](size_t g) { return group(g); });
+  }
+  // The compacted arrays, group-major.
+  std::span<const uint32_t> keys() const {
+    Compact();
+    return keys_;
+  }
+  std::span<const AggState> states() const {
+    Compact();
+    return states_;
   }
 
   // Finalized value for (key, agg). Returns NOT_FOUND for missing keys.
@@ -186,8 +227,20 @@ class QueryResult {
   int64_t bricks_rle_skipped = 0;
 
  private:
+  AggState* StatesFor(std::span<const uint32_t> key);
+  // Sorts by key (linearly for two runs split at `split` > 0), folding
+  // equal keys in append order.
+  void Fold(size_t split) const;
+
   size_t num_aggregations_;
-  std::map<GroupKey, std::vector<AggState>> groups_;
+  mutable size_t arity_ = 0;
+  // Groups held, counting every pending copy of a key.
+  mutable size_t num_groups_ = 0;
+  mutable std::vector<uint32_t> keys_;
+  mutable std::vector<AggState> states_;
+  mutable bool sorted_ = true;  // keys_ strictly ascending
+  // While Accumulate* inserts, the keys live here (slot == group).
+  mutable std::optional<vec::GroupKeyIndex> index_;
 };
 
 // One presentation row: the group key plus every aggregation finalized.

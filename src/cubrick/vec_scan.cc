@@ -91,39 +91,32 @@ VecExecState::VecExecState(const VecScanPlan& p)
 
 void VecExecState::Flush(QueryResult& result) const {
   const size_t naggs = plan->aggs.size();
+  const auto emit = [&](const uint32_t* key, size_t base) {
+    result.AppendRun(1, {key, plan->key_arity}, {states.data() + base, naggs});
+  };
   switch (plan->mode) {
-    case VecScanPlan::GroupMode::kGlobal: {
+    case VecScanPlan::GroupMode::kGlobal:
       // Every aggregation sees every surviving row, so agg 0's count
       // tells whether the (single, empty-keyed) group exists at all.
-      if (!states.empty() && states[0].count > 0) {
-        const QueryResult::GroupKey key;
-        for (size_t a = 0; a < naggs; ++a) {
-          result.AccumulateState(key, a, states[a]);
-        }
-      }
+      if (!states.empty() && states[0].count > 0) emit(nullptr, 0);
       break;
-    }
     case VecScanPlan::GroupMode::kDirect: {
-      QueryResult::GroupKey key(plan->key_arity);
+      // The last group column is the least-significant digit, so slots
+      // ascend in key order: the groups append as one sorted run.
+      std::vector<uint32_t> key(plan->key_arity);
       for (uint64_t slot = 0; slot < plan->direct.total_slots; ++slot) {
         const size_t base = static_cast<size_t>(slot) * naggs;
         if (states[base].count == 0) continue;
         plan->direct.DecodeSlot(slot, key.data());
-        for (size_t a = 0; a < naggs; ++a) {
-          result.AccumulateState(key, a, states[base + a]);
-        }
+        emit(key.data(), base);
       }
       break;
     }
     case VecScanPlan::GroupMode::kHash: {
-      QueryResult::GroupKey key(plan->key_arity);
+      // Slots are in first-seen order; the result sorts them once, at
+      // its first read.
       for (size_t slot = 0; slot < hash.num_slots(); ++slot) {
-        const uint32_t* flat = hash.KeyAt(static_cast<uint32_t>(slot));
-        key.assign(flat, flat + plan->key_arity);
-        const size_t base = slot * naggs;
-        for (size_t a = 0; a < naggs; ++a) {
-          result.AccumulateState(key, a, states[base + a]);
-        }
+        emit(hash.KeyAt(static_cast<uint32_t>(slot)), slot * naggs);
       }
       break;
     }

@@ -14,8 +14,9 @@
 //     values (no hashing, no key storage);
 //   * kHash: otherwise — an open-addressing index assigns dense slots.
 // A VecExecState accumulates any number of ScanRangeVec calls and is
-// flushed into a QueryResult at the end (QueryResult::AccumulateState),
-// reproducing the interpreter's per-group Add() sequences bit-for-bit.
+// flushed into a QueryResult at the end as one key-sorted run
+// (QueryResult::AppendRun), reproducing the interpreter's per-group
+// Add() sequences bit-for-bit.
 
 #ifndef SCALEWALL_CUBRICK_VEC_SCAN_H_
 #define SCALEWALL_CUBRICK_VEC_SCAN_H_

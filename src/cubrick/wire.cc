@@ -1,5 +1,6 @@
 #include "cubrick/wire.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace scalewall::cubrick::wire {
@@ -143,19 +144,16 @@ void EncodeQueryResult(net::WireWriter& w, const QueryResult& result) {
   w.I64(result.bricks_scanned);
   w.I64(result.bricks_pruned);
   w.I64(result.bricks_rle_skipped);
+  // Compacted: ascending keys, bytes a function of the folded groups.
+  const std::span<const AggState> states = result.states();
   w.U32(static_cast<uint32_t>(result.num_groups()));
-  // groups() is a sorted map: iteration (and thus the byte stream) is
-  // deterministic, and decode re-inserts in the same order.
-  for (const auto& [key, states] : result.groups()) {
-    w.U32Vec(key);
-    w.U32(static_cast<uint32_t>(states.size()));
-    for (const AggState& s : states) {
-      w.F64(s.sum);
-      w.I64(s.count);
-      w.F64(s.min);
-      w.F64(s.max);
-    }
-  }
+  w.U32(static_cast<uint32_t>(result.key_arity()));
+  w.U32Vec(result.keys());
+  w.U32(static_cast<uint32_t>(result.num_aggregations()));
+  for (const AggState& s : states) w.F64(s.sum);
+  for (const AggState& s : states) w.I64(s.count);
+  for (const AggState& s : states) w.F64(s.min);
+  for (const AggState& s : states) w.F64(s.max);
 }
 
 Result<QueryResult> DecodeQueryResult(net::WireReader& r) {
@@ -166,27 +164,33 @@ Result<QueryResult> DecodeQueryResult(net::WireReader& r) {
   result.bricks_pruned = r.I64();
   result.bricks_rle_skipped = r.I64();
   const uint32_t num_groups = r.U32();
-  if (!r.CheckCount(num_groups, 8)) return Malformed("result groups");
-  for (uint32_t g = 0; g < num_groups; ++g) {
-    QueryResult::GroupKey key = r.U32Vec();
-    // Every group carries one state per aggregation. Holding the count
-    // to the encoded states also bounds the allocation by the payload.
-    const uint32_t num_states = r.U32();
-    if (num_states != num_aggs || !r.CheckCount(num_states, 32)) {
-      return Malformed("result states");
-    }
-    for (uint32_t a = 0; a < num_states; ++a) {
-      AggState state;
-      state.sum = r.F64();
-      state.count = r.I64();
-      state.min = r.F64();
-      state.max = r.F64();
-      // Merging into the freshly created default state reproduces the
-      // encoded state bit-for-bit (see QueryResult::AccumulateState).
-      result.AccumulateState(key, a, state);
+  const uint32_t arity = r.U32();
+  const std::vector<uint32_t> keys = r.U32Vec();
+  // One arity for every key: the column holds groups x arity values.
+  if (keys.size() != uint64_t{num_groups} * arity) {
+    return Malformed("result key arity");
+  }
+  // The merge relies on every run being strictly ascending.
+  for (uint32_t g = 1; g < num_groups; ++g) {
+    const uint32_t* prev = keys.data() + (g - 1) * size_t{arity};
+    if (!std::lexicographical_compare(prev, prev + arity, prev + arity,
+                                      prev + 2 * size_t{arity})) {
+      return Malformed("result key order");
     }
   }
+  // Every group carries one state per aggregation; holding the count to
+  // the payload bounds the allocation.
+  const uint64_t num_states = uint64_t{num_groups} * num_aggs;
+  if (r.U32() != num_aggs || num_states > r.remaining() / 32) {
+    return Malformed("result states");
+  }
+  std::vector<AggState> states(num_states);
+  for (AggState& s : states) s.sum = r.F64();
+  for (AggState& s : states) s.count = r.I64();
+  for (AggState& s : states) s.min = r.F64();
+  for (AggState& s : states) s.max = r.F64();
   if (!r.ok()) return Malformed("query result");
+  result.AppendRun(num_groups, keys, states);
   return result;
 }
 

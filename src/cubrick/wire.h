@@ -8,14 +8,11 @@
 //
 // Encoding invariants:
 //  * Every codec is lossless for the fields it carries. QueryResult
-//    serializes each AggState as its four raw components (sum/count/
-//    min/max) with doubles as IEEE-754 bit patterns, and the decoder
-//    folds them in via QueryResult::AccumulateState — merging into a
-//    fresh default state, which reproduces the encoded state
-//    bit-for-bit. Group iteration follows the result's sorted map
-//    order, so encoding is deterministic and decode preserves merge
-//    order. This is what makes a fan-out over the wire byte-identical
-//    to merging the in-memory partials.
+//    travels column-wise (arity once, the ascending key column, then a
+//    column per AggState field, doubles as IEEE-754 bit patterns), and
+//    the decoder appends it as one run via QueryResult::AppendRun, which
+//    reproduces each state bit-for-bit. So a fan-out over the wire is
+//    byte-identical to merging the in-memory partials.
 //  * Deadlines cross the wire as *remaining budget* (microseconds),
 //    computed at serialization time: the request envelopes zero
 //    Query::deadline and carry `deadline_budget_micros` beside it, so

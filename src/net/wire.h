@@ -29,8 +29,10 @@
 #ifndef SCALEWALL_NET_WIRE_H_
 #define SCALEWALL_NET_WIRE_H_
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -45,7 +47,9 @@ namespace scalewall::net {
 // v3: ResourceClaim (pool_path/priority/weight_hint) replaced the flat
 // tenant_id+priority pair in the client-query payload, and the
 // coordinate/subquery/tree-merge envelopes gained a pool_path field.
-inline constexpr uint8_t kWireVersion = 3;
+// v4: query results travel column-wise (arity once, the key column,
+// then one column per AggState field).
+inline constexpr uint8_t kWireVersion = 4;
 
 // Hard cap on one frame's payload. Large enough for any merged result
 // the coordinator ships today; small enough that a garbage length
@@ -86,6 +90,9 @@ enum class FrameType : uint8_t {
 
 std::string_view FrameTypeName(FrameType type);
 
+// U32Vec copies host values as they lie: the wire's little-endian order.
+static_assert(std::endian::native == std::endian::little);
+
 // Appends fixed-width little-endian fields to a byte buffer.
 class WireWriter {
  public:
@@ -107,9 +114,9 @@ class WireWriter {
     U32(static_cast<uint32_t>(s.size()));
     buf_.append(s.data(), s.size());
   }
-  void U32Vec(const std::vector<uint32_t>& v) {
+  void U32Vec(std::span<const uint32_t> v) {
     U32(static_cast<uint32_t>(v.size()));
-    for (uint32_t x : v) U32(x);
+    buf_.append(reinterpret_cast<const char*>(v.data()), v.size_bytes());
   }
   void U64Vec(const std::vector<uint64_t>& v) {
     U32(static_cast<uint32_t>(v.size()));
@@ -171,9 +178,9 @@ class WireReader {
   std::vector<uint32_t> U32Vec() {
     uint32_t n = U32();
     if (!NeedElems(n, 4)) return {};
-    std::vector<uint32_t> v;
-    v.reserve(n);
-    for (uint32_t i = 0; i < n; ++i) v.push_back(U32());
+    std::vector<uint32_t> v(n);
+    if (n > 0) std::memcpy(v.data(), data_.data() + pos_, 4 * size_t{n});
+    pos_ += 4 * size_t{n};
     return v;
   }
   std::vector<uint64_t> U64Vec() {

@@ -440,15 +440,12 @@ Status ProxyCore::ShuffleMap(const cubrick::Query& query,
   // server b % num_servers.
   const uint32_t num_servers = std::max(1u, options_.num_servers);
   const uint32_t num_buckets = std::min(8u, num_servers);
-  const size_t num_aggs = query.aggregations.size();
   std::map<uint32_t, cubrick::QueryResult> buckets;
   for (const auto& [key, states] : scanned.groups()) {
-    const uint32_t b =
-        cubrick::ShuffleBucket(key, query.joins.size(), num_buckets);
-    auto [it, inserted] = buckets.try_emplace(b, num_aggs);
-    for (size_t a = 0; a < states.size(); ++a) {
-      it->second.AccumulateState(key, a, states[a]);
-    }
+    buckets.try_emplace(
+        cubrick::ShuffleBucket(key, query.joins.size(), num_buckets),
+        query.aggregations.size())
+        .first->second.AppendRun(1, key, states);
   }
 
   // Stage 3: map each bucket through a server's dim replicas and fold

@@ -70,7 +70,8 @@ uint32_t GroupKeyIndex::SlotFor(const uint32_t* key) {
       return slot;
     }
     const uint32_t slot = entry - 1;
-    if (std::memcmp(KeyAt(slot), key, arity_ * sizeof(uint32_t)) == 0) {
+    if (arity_ == 0 ||
+        std::memcmp(KeyAt(slot), key, arity_ * sizeof(uint32_t)) == 0) {
       return slot;
     }
     b = (b + 1) & mask_;

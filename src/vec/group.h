@@ -9,8 +9,8 @@
 //  * GroupKeyIndex: otherwise, an open-addressing hash table assigns
 //    slots in first-seen order and stores the flat keys for decode.
 //
-// Both produce a bijection slot <-> group key, so flushing slots into a
-// sorted result map reconstructs exactly the interpreter's group set.
+// Both produce a bijection slot <-> group key, so flushing slots in key
+// order into a result reconstructs exactly the interpreter's group set.
 
 #ifndef SCALEWALL_VEC_GROUP_H_
 #define SCALEWALL_VEC_GROUP_H_

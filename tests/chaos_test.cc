@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <vector>
@@ -29,14 +30,14 @@ namespace {
 // Exact equality of two merged results (keys and raw AggState values).
 bool SameResult(const cubrick::QueryResult& a, const cubrick::QueryResult& b) {
   if (a.num_groups() != b.num_groups()) return false;
-  auto it_b = b.groups().begin();
-  for (auto it_a = a.groups().begin(); it_a != a.groups().end();
-       ++it_a, ++it_b) {
-    if (it_a->first != it_b->first) return false;
-    if (it_a->second.size() != it_b->second.size()) return false;
-    for (size_t i = 0; i < it_a->second.size(); ++i) {
-      const cubrick::AggState& x = it_a->second[i];
-      const cubrick::AggState& y = it_b->second[i];
+  for (size_t g = 0; g < a.num_groups(); ++g) {
+    const cubrick::QueryResult::Group ga = a.group(g);
+    const cubrick::QueryResult::Group gb = b.group(g);
+    if (!std::ranges::equal(ga.key, gb.key)) return false;
+    if (ga.states.size() != gb.states.size()) return false;
+    for (size_t i = 0; i < ga.states.size(); ++i) {
+      const cubrick::AggState& x = ga.states[i];
+      const cubrick::AggState& y = gb.states[i];
       if (x.sum != y.sum || x.count != y.count || x.min != y.min ||
           x.max != y.max) {
         return false;

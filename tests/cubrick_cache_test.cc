@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <string>
@@ -28,14 +29,14 @@ namespace {
 // guarantee every non-stale cache hit must meet.
 bool SameResult(const QueryResult& a, const QueryResult& b) {
   if (a.num_groups() != b.num_groups()) return false;
-  auto it_b = b.groups().begin();
-  for (auto it_a = a.groups().begin(); it_a != a.groups().end();
-       ++it_a, ++it_b) {
-    if (it_a->first != it_b->first) return false;
-    if (it_a->second.size() != it_b->second.size()) return false;
-    for (size_t i = 0; i < it_a->second.size(); ++i) {
-      const AggState& x = it_a->second[i];
-      const AggState& y = it_b->second[i];
+  for (size_t g = 0; g < a.num_groups(); ++g) {
+    const QueryResult::Group ga = a.group(g);
+    const QueryResult::Group gb = b.group(g);
+    if (!std::ranges::equal(ga.key, gb.key)) return false;
+    if (ga.states.size() != gb.states.size()) return false;
+    for (size_t i = 0; i < ga.states.size(); ++i) {
+      const AggState& x = ga.states[i];
+      const AggState& y = gb.states[i];
       if (x.sum != y.sum || x.count != y.count || x.min != y.min ||
           x.max != y.max) {
         return false;

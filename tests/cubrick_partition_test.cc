@@ -222,7 +222,8 @@ TEST(RollupTest, EquivalentToPostAggregation) {
   ASSERT_TRUE(raw.Execute(q, raw_result).ok());
   ASSERT_TRUE(rolled.Execute(q, rolled_result).ok());
   ASSERT_EQ(raw_result.num_groups(), rolled_result.num_groups());
-  for (const auto& [key, states] : raw_result.groups()) {
+  for (const auto& [key_view, states] : raw_result.groups()) {
+    const QueryResult::GroupKey key(key_view.begin(), key_view.end());
     EXPECT_DOUBLE_EQ(*rolled_result.Value(key, 0, AggOp::kSum),
                      states[0].Finalize(AggOp::kSum));
     EXPECT_DOUBLE_EQ(*rolled_result.Value(key, 1, AggOp::kSum),

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <climits>
 
 #include <map>
@@ -27,14 +28,14 @@ namespace {
 // every strategy/topology combination must meet on integral datasets.
 bool SameResult(const QueryResult& a, const QueryResult& b) {
   if (a.num_groups() != b.num_groups()) return false;
-  auto it_b = b.groups().begin();
-  for (auto it_a = a.groups().begin(); it_a != a.groups().end();
-       ++it_a, ++it_b) {
-    if (it_a->first != it_b->first) return false;
-    if (it_a->second.size() != it_b->second.size()) return false;
-    for (size_t i = 0; i < it_a->second.size(); ++i) {
-      const AggState& x = it_a->second[i];
-      const AggState& y = it_b->second[i];
+  for (size_t g = 0; g < a.num_groups(); ++g) {
+    const QueryResult::Group ga = a.group(g);
+    const QueryResult::Group gb = b.group(g);
+    if (!std::ranges::equal(ga.key, gb.key)) return false;
+    if (ga.states.size() != gb.states.size()) return false;
+    for (size_t i = 0; i < ga.states.size(); ++i) {
+      const AggState& x = ga.states[i];
+      const AggState& y = gb.states[i];
       if (x.sum != y.sum || x.count != y.count || x.min != y.min ||
           x.max != y.max) {
         return false;
@@ -136,7 +137,7 @@ TEST(ShuffleBlocksTest, BucketIsDeterministicAndBounded) {
   // All buckets reachable over the key domain (32 keys, 8 buckets).
   std::map<uint32_t, int> seen;
   for (uint32_t k = 0; k < 32; ++k) {
-    ++seen[ShuffleBucket({k}, 1, 8)];
+    ++seen[ShuffleBucket(QueryResult::GroupKey{k}, 1, 8)];
   }
   EXPECT_GT(seen.size(), 4u);
 }
@@ -167,9 +168,7 @@ TEST(ShuffleBlocksTest, MappingMatchesReplicatedScan) {
   for (const auto& [key, states] : scanned.groups()) {
     auto [it, unused] = buckets.try_emplace(
         ShuffleBucket(key, q.joins.size(), 8), q.aggregations.size());
-    for (size_t a = 0; a < states.size(); ++a) {
-      it->second.AccumulateState(key, a, states[a]);
-    }
+    it->second.AppendRun(1, key, states);
   }
   QueryResult folded(q.aggregations.size());
   for (const auto& [bucket, partial] : buckets) {

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -57,18 +58,18 @@ bool SameDouble(double a, double b) {
     return ::testing::AssertionFailure()
            << "num_groups " << a.num_groups() << " vs " << b.num_groups();
   }
-  auto ia = a.groups().begin();
-  auto ib = b.groups().begin();
-  for (; ia != a.groups().end(); ++ia, ++ib) {
-    if (ia->first != ib->first) {
+  for (size_t g = 0; g < a.num_groups(); ++g) {
+    const QueryResult::Group ga = a.group(g);
+    const QueryResult::Group gb = b.group(g);
+    if (!std::ranges::equal(ga.key, gb.key)) {
       return ::testing::AssertionFailure() << "group keys diverge";
     }
-    if (ia->second.size() != ib->second.size()) {
+    if (ga.states.size() != gb.states.size()) {
       return ::testing::AssertionFailure() << "agg arity diverges";
     }
-    for (size_t i = 0; i < ia->second.size(); ++i) {
-      const AggState& sa = ia->second[i];
-      const AggState& sb = ib->second[i];
+    for (size_t i = 0; i < ga.states.size(); ++i) {
+      const AggState& sa = ga.states[i];
+      const AggState& sb = gb.states[i];
       if (!SameDouble(sa.sum, sb.sum) || sa.count != sb.count ||
           !SameDouble(sa.min, sb.min) || !SameDouble(sa.max, sb.max)) {
         return ::testing::AssertionFailure()

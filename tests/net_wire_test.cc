@@ -139,7 +139,7 @@ TEST(FrameTest, ResourceClaimGenerationBumpedWireVersion) {
   // frame version moved to 3 (2 was the planner generation). An
   // older peer's frames must be rejected at the frame layer — never
   // field-misaligned.
-  EXPECT_EQ(3, net::kWireVersion);
+  EXPECT_GE(net::kWireVersion, 3);
   for (uint8_t old_version : {1, 2}) {
     std::string bytes = net::EncodeFrame(net::FrameType::kSubqueryRequest, 3,
                                          "payload from an old peer");
@@ -148,6 +148,24 @@ TEST(FrameTest, ResourceClaimGenerationBumpedWireVersion) {
     decoder.Feed(bytes);
     net::Frame frame;
     EXPECT_FALSE(decoder.Next(&frame));
+    EXPECT_FALSE(decoder.ok());
+  }
+}
+
+TEST(FrameTest, ColumnarResultGenerationBumpedWireVersion) {
+  // Query results moved from one record per group to columns (arity
+  // once, the key column, then one column per state field), so the
+  // frame version moved to 4. A v3 peer's frames must be rejected at
+  // the frame layer, never decoded as columns.
+  EXPECT_EQ(4, net::kWireVersion);
+  for (uint8_t old_version : {1, 2, 3}) {
+    std::string bytes = net::EncodeFrame(net::FrameType::kSubqueryResponse, 4,
+                                         "per-group result from a v3 peer");
+    bytes[4] = static_cast<char>(old_version);
+    net::FrameDecoder decoder;
+    decoder.Feed(bytes);
+    net::Frame frame;
+    EXPECT_FALSE(decoder.Next(&frame)) << int{old_version};
     EXPECT_FALSE(decoder.ok());
   }
 }
@@ -227,9 +245,11 @@ Query RandomQuery(Rng& rng) {
 
 QueryResult RandomResult(Rng& rng, size_t num_aggs) {
   QueryResult result(num_aggs);
+  // Every key of one result has the same arity.
+  const uint64_t arity = rng.NextBounded(4);
   for (uint64_t g = 0, n = rng.NextBounded(20); g < n; ++g) {
     QueryResult::GroupKey key;
-    for (uint64_t k = 0, m = rng.NextBounded(4); k < m; ++k) {
+    for (uint64_t k = 0; k < arity; ++k) {
       key.push_back(static_cast<uint32_t>(rng.Next()));
     }
     for (size_t a = 0; a < num_aggs; ++a) {
@@ -357,6 +377,84 @@ TEST(WireDifferentialTest, QueryResultStateCountMustMatchAggregations) {
     std::memcpy(bytes.data(), &forged, sizeof(forged));  // leading u32
     net::WireReader r(bytes);
     EXPECT_FALSE(cubrick::wire::DecodeQueryResult(r).ok()) << forged;
+  }
+}
+
+// A hand-built column-wise result payload: header, key column, state
+// count, then `num_states` zeroed entries in each of the four field
+// columns.
+std::string ResultColumns(uint32_t num_aggs, uint32_t num_groups,
+                          uint32_t arity, const std::vector<uint32_t>& keys,
+                          uint32_t states_per_group, size_t num_states) {
+  net::WireWriter w;
+  w.U32(num_aggs);
+  for (int i = 0; i < 4; ++i) w.I64(0);
+  w.U32(num_groups);
+  w.U32(arity);
+  w.U32Vec(keys);
+  w.U32(states_per_group);
+  for (size_t i = 0; i < 4 * num_states; ++i) w.U64(0);
+  return std::move(w).str();
+}
+
+Status DecodeColumns(const std::string& bytes) {
+  net::WireReader r(bytes);
+  auto decoded = cubrick::wire::DecodeQueryResult(r);
+  if (!decoded.ok()) return decoded.status();
+  return r.exhausted() ? Status::Ok() : Status::InvalidArgument("trailing");
+}
+
+TEST(WireDifferentialTest, QueryResultColumnsAcceptWellFormedRuns) {
+  EXPECT_TRUE(DecodeColumns(ResultColumns(1, 2, 2, {1, 2, 1, 3}, 1, 2)).ok());
+  EXPECT_TRUE(DecodeColumns(ResultColumns(2, 1, 0, {}, 2, 2)).ok());
+  EXPECT_TRUE(DecodeColumns(ResultColumns(3, 0, 5, {}, 3, 0)).ok());
+}
+
+TEST(WireDifferentialTest, QueryResultRejectsMixedArityKeys) {
+  // Two groups of arity 2 need 4 key values; 5 means a key of arity 3
+  // (or 3 values, one of arity 1) rode along.
+  for (const std::vector<uint32_t>& keys :
+       {std::vector<uint32_t>{1, 2, 1, 3, 4}, std::vector<uint32_t>{1, 2, 3}}) {
+    const Status status = DecodeColumns(ResultColumns(1, 2, 2, keys, 1, 2));
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+  }
+}
+
+TEST(WireDifferentialTest, QueryResultRejectsUnsortedRuns) {
+  // Descending, duplicate, and two empty (arity 0) keys: the merge
+  // relies on strictly ascending runs.
+  EXPECT_EQ(DecodeColumns(ResultColumns(1, 2, 2, {1, 3, 1, 2}, 1, 2)).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(DecodeColumns(ResultColumns(1, 2, 2, {1, 2, 1, 2}, 1, 2)).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(DecodeColumns(ResultColumns(1, 2, 0, {}, 1, 2)).code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(WireDifferentialTest, QueryResultRejectsOverflowingCounts) {
+  // groups x arity past 2^32 cannot match any u32 key count, and a key
+  // count past the payload is refused before any allocation.
+  EXPECT_FALSE(
+      DecodeColumns(ResultColumns(1, 1u << 31, 2, {0}, 1, 0)).ok());
+  EXPECT_FALSE(
+      DecodeColumns(ResultColumns(1, 1u << 16, 1u << 16, {}, 1, 0)).ok());
+  std::string short_keys = ResultColumns(1, 1u << 24, 1, {}, 1, 0);
+  std::memcpy(short_keys.data() + 44, "\x00\x00\x00\x01", 4);  // 1 << 24
+  EXPECT_FALSE(DecodeColumns(short_keys).ok());
+  // groups x aggs past the payload (and past 2^32) is refused the same
+  // way: num_aggs 2^32 - 1 with one group would allocate ~128 GiB.
+  const uint32_t huge = 0xFFFFFFFFu;
+  EXPECT_FALSE(DecodeColumns(ResultColumns(huge, 1, 1, {5}, huge, 1)).ok());
+  // Two states per group, one group, but only one state's columns sent.
+  EXPECT_FALSE(DecodeColumns(ResultColumns(2, 1, 1, {5}, 2, 1)).ok());
+}
+
+TEST(WireDifferentialTest, QueryResultRejectsStateCountMismatch) {
+  for (uint32_t states_per_group : {0u, 1u, 3u, 1u << 24}) {
+    const Status status =
+        DecodeColumns(ResultColumns(2, 1, 1, {7}, states_per_group, 2));
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << states_per_group;
   }
 }
 
