@@ -130,8 +130,10 @@ DistributedOutcome ExecuteDistributed(const ExecutionPlan& plan,
   // deployment-stamped value, so the coordinator's copy speaks for the
   // region. 0 when a replica is missing here (the leaves then fail with
   // the precise error on the replicated path). Broadcast additionally
-  // snapshots the replicas to ship with the subqueries.
-  std::vector<ReplicatedTable> dim_snapshots;
+  // snapshots the replicas to ship with the subqueries. `base` carries
+  // everything every chunk request shares; the partition hosts join it
+  // once resolved.
+  wire::TreeMergeEnvelope base;
   for (const Join& join : query.joins) {
     const ReplicatedTable* replica =
         coord_server->GetReplicatedTable(join.dimension_table);
@@ -143,21 +145,15 @@ DistributedOutcome ExecuteDistributed(const ExecutionPlan& plan,
             " not resident on the coordinator");
         return outcome;
       }
-      dim_snapshots.push_back(*replica);
+      base.dims.push_back(*replica);
     }
   }
-  const std::vector<ReplicatedTable>* wire_dims =
-      dim_snapshots.empty() ? nullptr : &dim_snapshots;
 
   // Resolve all partition hosts through the coordinator's local SMC view.
   sm::SmClient client(ctx.discovery, ctx.cluster, coordinator);
-  struct Subquery {
-    uint32_t partition;
-    cluster::ServerId server;       // assignment used for retry penalties
-    cluster::ServerId exec_server;  // post-reresolve execution host
-  };
-  std::vector<Subquery> subqueries;
-  subqueries.reserve(table->num_partitions);
+  // Partition p's assignment, which retry penalties key on; its
+  // execution host (re-resolved after retries) is base.servers[p].
+  std::vector<cluster::ServerId> assigned;
   std::set<cluster::ServerId> distinct;
   for (uint32_t p = 0; p < table->num_partitions; ++p) {
     auto shard = ctx.catalog->ShardForPartition(query.table, p);
@@ -182,47 +178,34 @@ DistributedOutcome ExecuteDistributed(const ExecutionPlan& plan,
       outcome.latency = ctx.network_model.SampleHop(rng);
       return outcome;
     }
-    subqueries.push_back(Subquery{p, *server, *server});
+    assigned.push_back(*server);
+    base.partitions.push_back(p);
+    base.servers.push_back(*server);
     distinct.insert(*server);
   }
   outcome.fanout = static_cast<int>(distinct.size());
 
   // Merge topology: the plan pins it. A tree with a single partial is
   // meaningless, so it degrades to flat.
-  const bool tree = plan.merge_fanin >= 2 && subqueries.size() > 1;
+  const size_t num_leaves = assigned.size();
+  const bool tree = plan.merge_fanin >= 2 && num_leaves > 1;
   const int fanin = plan.merge_fanin;
   outcome.strategy = strategy;
   outcome.merge_fanin = tree ? fanin : 0;
   outcome.tree_depth =
-      tree ? TreeDepth(static_cast<int>(subqueries.size()), fanin) : 0;
-  if (strategy != JoinStrategy::kReplicated || tree) {
-    // A "plan" span records the executed (non-seed) plan so profiles
-    // can attribute the query's shape; the seed-equivalent plan emits
-    // nothing, keeping seed span trees byte-identical.
-    obs::TraceContext pspan = trace.Child("plan", t0);
-    pspan.Annotate("strategy", std::string(JoinStrategyName(strategy)));
-    pspan.Annotate("merge",
-                   std::string(MergeTopologyName(
-                       tree ? MergeTopology::kTree : MergeTopology::kFlat)));
-    if (tree) {
-      pspan.Annotate("fanin", std::to_string(fanin));
-      pspan.Annotate("depth", std::to_string(outcome.tree_depth));
-    }
-    pspan.End(t0);
-  }
+      tree ? TreeDepth(static_cast<int>(num_leaves), fanin) : 0;
+  // The executed plan's shape, for profiles.
+  TracePlan(trace, t0, strategy, tree ? fanin : 0,
+            static_cast<int>(num_leaves));
 
   // Shuffle stage 1 scans by raw join keys with joins stripped: it runs
   // on the plain scan kernels and is partial-cacheable (no dim epochs).
   // Its canonical fingerprint is computed once here, coordinator-side.
-  Query shuffle_query;
-  std::string shuffle_fingerprint;
-  const Query* exec_query = &query;
-  const std::string* exec_fingerprint = ectx.fingerprint;
+  base.query = query;
+  if (ectx.fingerprint != nullptr) base.fingerprint = *ectx.fingerprint;
   if (strategy == JoinStrategy::kShuffle) {
-    shuffle_query = MakeShuffleScanQuery(query);
-    shuffle_fingerprint = CanonicalQueryFingerprint(shuffle_query);
-    exec_query = &shuffle_query;
-    exec_fingerprint = &shuffle_fingerprint;
+    base.query = MakeShuffleScanQuery(query);
+    base.fingerprint = CanonicalQueryFingerprint(base.query);
   }
 
   const SubqueryPolicy& policy = ctx.policy;
@@ -311,12 +294,12 @@ DistributedOutcome ExecuteDistributed(const ExecutionPlan& plan,
   // their aggregators pre-resolved (so a divergent discovery view cannot
   // split the tree), so any retry-driven re-resolution against the
   // authoritative view happens here, for flat and tree plans alike.
-  for (Subquery& sub : subqueries) {
-    if (reresolve.count(sub.server) == 0) continue;
-    auto shard = ctx.catalog->ShardForPartition(query.table, sub.partition);
+  for (uint32_t p = 0; p < num_leaves; ++p) {
+    if (reresolve.count(assigned[p]) == 0) continue;
+    auto shard = ctx.catalog->ShardForPartition(query.table, p);
     if (!shard.ok()) continue;
     auto fresh = client.ResolveServingFresh(ctx.service, *shard);
-    if (fresh.ok()) sub.exec_server = *fresh;
+    if (fresh.ok()) base.servers[p] = *fresh;
   }
 
   // Subqueries still outstanding at the hedge quantile of the latency
@@ -330,16 +313,15 @@ DistributedOutcome ExecuteDistributed(const ExecutionPlan& plan,
   // coordinator fan-in a wall. 0 (the default) reproduces the seed
   // timing exactly.
   const SimDuration per_partial = ctx.planner.merge_cost_per_partial;
-  const size_t num_leaves = subqueries.size();
   std::vector<int> fhops(num_leaves, 0);
 
   // Subquery span, opened before dispatch so the server's partition (and
   // morsel) spans nest under it; its extent is fixed once the modeled
   // chain latency is known.
   auto open_subquery = [&](const obs::TraceContext& parent, size_t i) {
-    obs::TraceContext sspan = parent.Child(
-        "subquery p" + std::to_string(subqueries[i].partition), t0);
-    sspan.Annotate("server", std::to_string(subqueries[i].exec_server));
+    obs::TraceContext sspan =
+        parent.Child("subquery p" + std::to_string(i), t0);
+    sspan.Annotate("server", std::to_string(base.servers[i]));
     return sspan;
   };
   // Modeled latency of one leaf subquery (in parallel in simulated time
@@ -348,8 +330,8 @@ DistributedOutcome ExecuteDistributed(const ExecutionPlan& plan,
   // policy, plus the host's retry penalty.
   auto model_leaf = [&](size_t i, cluster::ServerId parent_host,
                         const obs::TraceContext& sspan) -> SimDuration {
-    const Subquery& sub = subqueries[i];
-    SimDuration hop = sub.exec_server == parent_host
+    const cluster::ServerId host = base.servers[i];
+    SimDuration hop = host == parent_host
                           ? 0
                           : ctx.network_model.SampleHop(rng);
     for (int h = 0; h < fhops[i]; ++h) {
@@ -361,7 +343,7 @@ DistributedOutcome ExecuteDistributed(const ExecutionPlan& plan,
     // is exactly how real backends degrade — and the backlog this builds
     // is the overload signal the proxy's admission control sheds on.
     // A no-op (0 wait) when the server's virtual_scan_slots is 0.
-    CubrickServer* server = ctx.directory->Lookup(sub.exec_server);
+    CubrickServer* server = ctx.directory->Lookup(host);
     const SimDuration scan_wait =
         server != nullptr ? server->EnqueueScan(t0 + hop, service) : 0;
     {
@@ -370,7 +352,7 @@ DistributedOutcome ExecuteDistributed(const ExecutionPlan& plan,
       // (the draw happens here, after it returned), so this span is
       // what carries the subquery's scan time into profiles.
       obs::TraceContext scspan = sspan.Child(
-          "scan p" + std::to_string(sub.partition), t0 + hop);
+          "scan p" + std::to_string(i), t0 + hop);
       if (scan_wait > 0) {
         scspan.Annotate("slot_wait", std::to_string(scan_wait));
       }
@@ -391,14 +373,14 @@ DistributedOutcome ExecuteDistributed(const ExecutionPlan& plan,
         chain = hedged;
       }
     }
-    auto it = host_penalty.find(sub.server);
+    auto it = host_penalty.find(assigned[i]);
     if (it != host_penalty.end()) chain += it->second;
     if (hop > 0) {
       // The modeled wire time (parent -> host hop plus any forwarding
       // hops) as a "net" child, so profiles can split subquery wall time
       // into net vs scan.
       obs::TraceContext nspan = sspan.Child(
-          "net s" + std::to_string(sub.exec_server), t0);
+          "net s" + std::to_string(host), t0);
       nspan.End(t0 + hop);
     }
     sspan.End(t0 + chain);
@@ -420,13 +402,12 @@ DistributedOutcome ExecuteDistributed(const ExecutionPlan& plan,
     if (hi - lo == 1) {
       return model_leaf(lo, parent_host, open_subquery(parent_span, lo));
     }
-    const cluster::ServerId agg = subqueries[lo].exec_server;
+    const cluster::ServerId agg = base.servers[lo];
     // NOT the exact string "merge": profiles fold exact-"merge" spans
     // into the coordinator merge share, and a subtree merge is
     // precisely the work the tree moved OFF the coordinator.
     obs::TraceContext tspan = parent_span.Child(
-        "tree merge p" + std::to_string(subqueries[lo].partition) + "-p" +
-            std::to_string(subqueries[hi - 1].partition),
+        "tree merge p" + std::to_string(lo) + "-p" + std::to_string(hi - 1),
         t0);
     tspan.Annotate("server", std::to_string(agg));
     const size_t chunk = static_cast<size_t>(
@@ -452,87 +433,59 @@ DistributedOutcome ExecuteDistributed(const ExecutionPlan& plan,
     return chain;
   };
 
-  // Dispatch, then model, one top-level chunk at a time: a flat plan's
-  // chunks are single subqueries; a tree plan's multi-partition chunks
-  // travel as one kTreeMergeRequest to their aggregator (the host of the
-  // chunk's first partition), which executes/forwards and folds its
-  // subtree in ascending partition order. Partials fold here in
-  // ascending chunk order. The attempt's latency is the slowest chunk
-  // chain plus the coordinator's own (chunk-wide) merge.
-  const std::string* claim_pool =
-      ectx.pool_path.empty() ? nullptr : &ectx.pool_path;
-  const size_t top_chunk =
-      tree ? static_cast<size_t>(
-                 TreeChunkSize(static_cast<int>(num_leaves), fanin))
-           : 1;
+  // Fan the top-level chunks out and fold them in ascending chunk order:
+  // a flat plan's chunks are single subqueries; a tree plan's
+  // multi-partition chunks travel as one kTreeMergeRequest to their
+  // aggregator (the host of the chunk's first partition), which
+  // executes/forwards and folds its subtree in ascending partition
+  // order. Each chunk is modeled as it folds. The attempt's latency is
+  // the slowest chunk chain plus the coordinator's own (chunk-wide)
+  // merge.
+  base.fanin = fanin;
+  base.cache_policy = ectx.cache_policy;
+  base.scan_path = ectx.scan_path;
+  base.remaining_budget = deadline_budget;
+  base.pool_path = ectx.pool_path;
+  net::CallOptions call;
+  call.sideband.cancel = &cancel;
+  call.sideband.trace = trace;
+  call.sideband.trace_time = t0;
+
+  std::vector<obs::TraceContext> sspans(num_leaves);
   SimDuration slowest = 0;
   size_t top_chunks = 0;
-  for (size_t lo = 0; lo < num_leaves; lo += top_chunk) {
-    const size_t hi = std::min(lo + top_chunk, num_leaves);
-    const cluster::ServerId host = subqueries[lo].exec_server;
-    Status failed = Status::Ok();
-    obs::TraceContext sspan;
-    if (hi - lo == 1) {
-      sspan = open_subquery(trace, lo);
-      auto partial = CallSubquery(
-          *ctx.transport, host, *exec_query, subqueries[lo].partition,
-          deadline_budget, ectx.cache_policy, ectx.scan_path,
-          exec_fingerprint, &cancel, sspan, t0, wire_dims, claim_pool);
-      if (partial.ok()) {
-        outcome.partition_epochs[subqueries[lo].partition] = partial->epoch;
-        fhops[lo] = partial->forward_hops;
-        outcome.result.Merge(partial->result);
-      } else {
-        failed = partial.status();
-      }
-    } else {
-      wire::TreeMergeEnvelope envelope;
-      envelope.query = *exec_query;
-      for (size_t i = lo; i < hi; ++i) {
-        envelope.partitions.push_back(subqueries[i].partition);
-        envelope.servers.push_back(subqueries[i].exec_server);
-      }
-      envelope.fanin = fanin;
-      envelope.cache_policy = ectx.cache_policy;
-      envelope.scan_path = ectx.scan_path;
-      if (exec_fingerprint != nullptr) envelope.fingerprint = *exec_fingerprint;
-      envelope.remaining_budget = deadline_budget;
-      envelope.pool_path = ectx.pool_path;
-      if (wire_dims != nullptr) envelope.dims = *wire_dims;
-      auto subtree =
-          CallTreeMerge(*ctx.transport, host, envelope, &cancel, trace, t0);
-      if (!subtree.ok()) {
-        failed = subtree.status();
-      } else if (subtree->epochs.size() != hi - lo ||
-                 subtree->forward_hops.size() != hi - lo) {
-        failed =
-            Status::Internal("tree merge response misaligned with request");
-      } else {
-        for (size_t i = lo; i < hi; ++i) {
-          outcome.partition_epochs[subqueries[i].partition] =
-              subtree->epochs[i - lo];
-          fhops[i] = subtree->forward_hops[i - lo];
-        }
-        outcome.result.Merge(subtree->result);
-      }
-    }
-    if (!failed.ok()) {
+  ChunkHooks hooks;
+  hooks.trace = [&](size_t lo, size_t hi, net::CallSideband* sideband,
+                    std::string*) {
+    if (hi - lo == 1) sideband->trace = sspans[lo] = open_subquery(trace, lo);
+  };
+  hooks.fold = [&](size_t lo, size_t hi, Result<wire::TreeMergeResult> reply,
+                   std::string_view) -> Status {
+    if (!reply.ok()) {
       outcome.latency =
           ctx.network_model.SampleHop(rng) + ctx.latency_model.Sample(rng);
-      if (hi - lo == 1) {
-        sspan.Annotate("status", std::string(StatusCodeName(failed.code())));
-        sspan.End(t0 + outcome.latency);
-      }
-      outcome.status = std::move(failed);
-      outcome.failed_server = host;
-      return outcome;
+      // A leaf's subquery span records the failure (a subtree has none).
+      sspans[lo].Annotate("status",
+                          std::string(StatusCodeName(reply.status().code())));
+      sspans[lo].End(t0 + outcome.latency);
+      outcome.failed_server = base.servers[lo];
+      return reply.status();
     }
-    const SimDuration chain = hi - lo == 1
-                                  ? model_leaf(lo, coordinator, sspan)
-                                  : model_subtree(lo, hi, coordinator, trace);
+    for (size_t i = lo; i < hi; ++i) {
+      outcome.partition_epochs[i] = reply->epochs[i - lo];
+      fhops[i] = reply->forward_hops[i - lo];
+    }
+    outcome.result.Merge(reply->result);
+    const SimDuration chain =
+        hi - lo == 1 ? model_leaf(lo, coordinator, sspans[lo])
+                     : model_subtree(lo, hi, coordinator, trace);
     slowest = std::max(slowest, chain);
     ++top_chunks;
-  }
+    return Status::Ok();
+  };
+  outcome.status =
+      FanOutChunks(ctx.transport, base, 0, num_leaves, call, hooks);
+  if (!outcome.status.ok()) return outcome;
   const SimDuration root_merge =
       ctx.merge_overhead + static_cast<SimDuration>(top_chunks) * per_partial;
   outcome.latency = slowest + root_merge;
@@ -553,7 +506,6 @@ DistributedOutcome ExecuteDistributed(const ExecutionPlan& plan,
     // to attributes, and fold the mapped buckets back in ascending
     // bucket order. Scan counters are restored from the stage-1 totals
     // (the mapping rekeys groups, it scans nothing).
-    const size_t raw = query.joins.size();
     std::vector<cluster::ServerId> hosts_sorted(distinct.begin(),
                                                 distinct.end());
     const uint32_t num_hosts = static_cast<uint32_t>(hosts_sorted.size());
@@ -561,13 +513,9 @@ DistributedOutcome ExecuteDistributed(const ExecutionPlan& plan,
         1, std::min<uint32_t>(
                static_cast<uint32_t>(std::max(1, plan.shuffle_buckets)),
                num_hosts));
-    std::map<uint32_t, QueryResult> buckets;
-    for (const auto& [key, states] : outcome.result.groups()) {
-      // Ascending keys: each bucket is one sorted run.
-      buckets.try_emplace(ShuffleBucket(key, raw, num_buckets),
-                          query.aggregations.size())
-          .first->second.AppendRun(1, key, states);
-    }
+    const std::map<uint32_t, QueryResult> buckets = BucketShuffleGroups(
+        outcome.result, query.joins.size(), num_buckets,
+        query.aggregations.size());
     const int64_t rows_scanned = outcome.result.rows_scanned;
     const int64_t bricks_scanned = outcome.result.bricks_scanned;
     const int64_t bricks_pruned = outcome.result.bricks_pruned;
@@ -575,7 +523,7 @@ DistributedOutcome ExecuteDistributed(const ExecutionPlan& plan,
     QueryResult mapped_total(query.aggregations.size());
     const SimTime t_fan = t0 + outcome.latency;
     SimDuration stage2_max = 0;
-    for (auto& [b, bucket] : buckets) {
+    for (const auto& [b, bucket] : buckets) {
       const cluster::ServerId map_server = hosts_sorted[b % num_hosts];
       auto mapped = CallShuffleMap(*ctx.transport, map_server, query, bucket,
                                    trace, t_fan);

@@ -37,6 +37,7 @@
 #define SCALEWALL_CUBRICK_PLANNER_H_
 
 #include <cstdint>
+#include <map>
 #include <span>
 #include <string>
 #include <string_view>
@@ -171,6 +172,12 @@ ExecutionPlan BuildExecutionPlan(const RegionContext& ctx, const Query& query,
 // coordinator merges every leaf directly, i.e. flat).
 int TreeDepth(int leaves, int fanin);
 
+// Records a plan off the seed path as a "plan" span (strategy, merge
+// topology, and a tree's fan-in and depth over `num_leaves`); the seed
+// plan (replicated, `fanin` < 2) records nothing.
+void TracePlan(const obs::TraceContext& parent, SimTime at,
+               JoinStrategy strategy, int fanin, int num_leaves);
+
 // Width of each contiguous chunk when a range of `n` partials splits
 // into at most `fanin` subtrees: ceil(n / fanin). Every layer that
 // walks the merge tree — the executor's data pass, its modeled timing
@@ -197,6 +204,12 @@ Query MakeShuffleScanQuery(const Query& query);
 // processes and platforms by construction (no std::hash).
 uint32_t ShuffleBucket(std::span<const uint32_t> key, size_t num_join_keys,
                        uint32_t num_buckets);
+
+// Splits a stage-1 result into its stage-2 buckets by ShuffleBucket,
+// each one ascending run, in ascending bucket order (the fold order).
+std::map<uint32_t, QueryResult> BucketShuffleGroups(
+    const QueryResult& scanned, size_t num_join_keys, uint32_t num_buckets,
+    size_t num_aggregations);
 
 // Stage 2: maps one bucket of stage-1 groups through the dimension
 // tables, reproducing exactly the replicated scan's join semantics —

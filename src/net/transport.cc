@@ -2,6 +2,13 @@
 
 namespace scalewall::net {
 
+Status ExpectFrame(const Message& message, FrameType want) {
+  if (message.type == want) return Status::Ok();
+  return Status::Internal("unexpected frame type " +
+                          std::string(FrameTypeName(message.type)) +
+                          ", want " + std::string(FrameTypeName(want)));
+}
+
 TransportStats::TransportStats(obs::MetricsRegistry* registry,
                                std::string_view backend) {
   if (registry == nullptr) return;

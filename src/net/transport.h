@@ -42,6 +42,10 @@ struct Message {
   std::string payload;
 };
 
+// kInternal unless `message` is a `want` frame: the check every caller
+// makes on a response before decoding it.
+Status ExpectFrame(const Message& message, FrameType want);
+
 // In-process side-band context a call carries *alongside* the wire
 // payload. Only the sim backend can deliver it (both ends share an
 // address space); the epoll backend drops it, because none of these

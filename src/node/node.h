@@ -143,21 +143,13 @@ class ProxyCore {
   const admit::FairShareTree& pool_tree() const { return pool_tree_; }
 
  private:
-  // Fans `exec_query` out in contiguous partition chunks — one
-  // partition per chunk for flat plans (`fanin` < 2), TreeChunkSize
-  // partitions for tree plans. A one-partition chunk is a plain
-  // subquery; a larger one goes to its first partition's host as a
-  // kTreeMergeRequest. All chunks are in flight at once and fold into
-  // `merged` in ascending chunk order — the flat merge's ascending
-  // partition order. `root` non-null = record a span per chunk under it
-  // and graft the servers' span batches. `dims` non-empty = ship the
-  // broadcast snapshots with every request.
-  Status FanOut(const cubrick::QueryRequest& request,
-                const cubrick::Query& exec_query,
-                const std::vector<cubrick::ReplicatedTable>& dims, int fanin,
-                SimDuration budget, obs::TraceContext* root,
-                int64_t start_micros, cubrick::QueryResult* merged,
-                std::set<uint32_t>* servers);
+  // Fans `base`'s leaves out through cubrick::FanOutChunks and folds
+  // them into `merged` in ascending partition order. `root` non-null =
+  // record a span per chunk under it and graft the servers' span
+  // batches.
+  Status FanOut(const cubrick::wire::TreeMergeEnvelope& base,
+                obs::TraceContext* root, int64_t start_micros,
+                cubrick::QueryResult* merged, std::set<uint32_t>* servers);
   // Shuffle stages 2+3: bucket stage-1 groups by their raw join keys,
   // send each bucket to server (bucket % num_servers) for dim mapping,
   // fold mapped buckets in ascending bucket order.

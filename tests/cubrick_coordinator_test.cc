@@ -187,6 +187,21 @@ TEST_F(CoordinatorTest, UnreachablePartitionHostFailsAtDispatch) {
   }
 }
 
+TEST_F(CoordinatorTest, FailedChunkStopsDispatch) {
+  // On the inline sim wire a flat plan sends chunk k + 1 only after
+  // chunk k has folded: once partition 1's host is unreachable, the
+  // hosts of partitions 2 and 3 are never asked.
+  network_.RemoveNode(NodePeerName(1));
+  Rng rng(1);
+  DistributedOutcome outcome = Run(CountQuery(), 0, rng);
+  EXPECT_EQ(outcome.status.code(), StatusCode::kUnavailable);
+  EXPECT_EQ(outcome.failed_server, 1u);
+  EXPECT_EQ(servers_[0]->stats().partial_queries, 1);
+  for (uint32_t p = 1; p < 4; ++p) {
+    EXPECT_EQ(servers_[p]->stats().partial_queries, 0) << "server " << p;
+  }
+}
+
 TEST_F(CoordinatorTest, TransientFailureReportsFailedServer) {
   context_.failure_model = sim::TransientFailureModel(1.0);  // always fail
   for (int fanin : kFanins) {
