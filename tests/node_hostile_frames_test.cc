@@ -240,5 +240,25 @@ TEST(NodeHostileFramesTest, RegionFramesAnswerStatusOnANode) {
   EXPECT_TRUE(rows.ok()) << rows.status().ToString();
 }
 
+TEST(NodeHostileFramesTest, EmptyTreeMergeAnswersWithoutForwarding) {
+  // Zero assignments decode (the two lists agree and fanin >= 2); the
+  // aggregator must answer an empty merge, not divide by a zero chunk.
+  Cluster cluster;
+  cwire::TreeMergeEnvelope envelope;
+  envelope.query = JoinQuery();
+  envelope.fanin = 2;
+  envelope.telemetry = TraceContext();
+  auto response = cluster.servers[0]->Handle(
+      net::Message{net::FrameType::kTreeMergeRequest,
+                   cwire::EncodeTreeMergeRequest(envelope)});
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  ASSERT_EQ(net::FrameType::kTreeMergeResponse, response->type);
+  auto merged = cwire::DecodeTreeMergeResponse(response->payload, nullptr);
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  EXPECT_TRUE(merged->epochs.empty());
+  EXPECT_TRUE(merged->forward_hops.empty());
+  EXPECT_EQ(0u, merged->result.num_groups());
+}
+
 }  // namespace
 }  // namespace scalewall
