@@ -146,33 +146,34 @@ AdmissionController::AdmissionController(AdmitOptions options)
   }
 }
 
-AdmissionController::PoolSeries& AdmissionController::SeriesLocked(
-    PoolId pool) {
-  auto it = series_.find(pool);
-  if (it != series_.end()) return it->second;
-  PoolSeries series;
-  if (options_.metrics != nullptr) {
-    const std::string label = tree_.PoolPath(pool);
-    series.admitted =
-        options_.metrics->GetCounter("scalewall_pool_queries_total",
-                                     {{"pool", label}, {"result", "admitted"}});
-    series.rejected =
-        options_.metrics->GetCounter("scalewall_pool_queries_total",
-                                     {{"pool", label}, {"result", "rejected"}});
-    series.completed = options_.metrics->GetCounter(
-        "scalewall_pool_queries_total",
-        {{"pool", label}, {"result", "completed"}});
-    series.preempted = options_.metrics->GetCounter(
-        "scalewall_pool_queries_total",
-        {{"pool", label}, {"result", "preempted"}});
-    series.fair_share = options_.metrics->GetGauge("scalewall_pool_fair_share",
-                                                   {{"pool", label}});
-    series.inflight = options_.metrics->GetGauge("scalewall_pool_inflight",
-                                                 {{"pool", label}});
-    series.service_micros = options_.metrics->GetCounter(
-        "scalewall_pool_service_micros_total", {{"pool", label}});
+void AdmissionController::RegisterPoolSeriesLocked(PoolId pool) {
+  if (options_.metrics == nullptr || series_.contains(pool)) return;
+  // The tree keeps every per-pool count under its own lock and never
+  // calls the registry, so the series read it at scrape time.
+  const std::string label = tree_.PoolPath(pool);
+  std::vector<obs::CallbackSeries>& series = series_[pool];
+  auto add = [&](const char* name, obs::MetricLabels labels, bool counter,
+                 auto field) {
+    auto read = [this, pool, field] { return tree_.Snapshot(pool).*field; };
+    series.push_back(
+        counter ? options_.metrics->CallbackCounter(name, labels, read)
+                : options_.metrics->CallbackGauge(name, labels, read));
+  };
+  using Snapshot = FairShareTree::PoolSnapshot;
+  for (const auto& [result, field] :
+       {std::pair{"admitted", &Snapshot::admitted},
+        std::pair{"rejected", &Snapshot::rejected},
+        std::pair{"completed", &Snapshot::completed},
+        std::pair{"preempted", &Snapshot::preempted}}) {
+    add("scalewall_pool_queries_total", {{"pool", label}, {"result", result}},
+        true, field);
   }
-  return series_.emplace(pool, std::move(series)).first->second;
+  add("scalewall_pool_service_micros_total", {{"pool", label}}, true,
+      &Snapshot::service_micros);
+  add("scalewall_pool_fair_share", {{"pool", label}}, false,
+      &Snapshot::fair_share);
+  add("scalewall_pool_inflight", {{"pool", label}}, false,
+      &Snapshot::running);
 }
 
 void AdmissionController::CloseTicketLocked(uint64_t id, bool preempted) {
@@ -183,7 +184,6 @@ void AdmissionController::CloseTicketLocked(uint64_t id, bool preempted) {
   if (preempted) {
     if (ticket.cancel != nullptr) ticket.cancel->RequestCancel();
     ++stats_.preemptions;
-    ++SeriesLocked(ticket.pool).preempted;
   }
   inflight_bytes_ -= std::min(inflight_bytes_, ticket.bytes);
   releases_.erase({ticket.release, id});
@@ -279,10 +279,6 @@ void AdmissionController::UpdateGaugesLocked() {
   inflight_gauge_.Set(static_cast<double>(tickets_.size()));
   inflight_bytes_gauge_.Set(static_cast<double>(inflight_bytes_));
   predicted_service_gauge_.Set(ToMillis(estimator_.Predict()));
-  for (auto& [pool, series] : series_) {
-    series.fair_share.Set(tree_.FairShare(pool));
-    series.inflight.Set(static_cast<double>(tree_.running(pool)));
-  }
 }
 
 Decision AdmissionController::Admit(const RequestInfo& info) {
@@ -291,7 +287,7 @@ Decision AdmissionController::Admit(const RequestInfo& info) {
   ReleaseExpiredLocked(now);
   const int tier = static_cast<int>(info.priority);
   const PoolId pool = tree_.Resolve(info.pool_path, info.weight_hint);
-  PoolSeries& series = SeriesLocked(pool);
+  RegisterPoolSeriesLocked(pool);
   const PoolConfig config = tree_.Config(pool);
   const size_t bytes =
       info.bytes > 0 ? info.bytes : options_.default_query_bytes;
@@ -305,7 +301,6 @@ Decision AdmissionController::Admit(const RequestInfo& info) {
     decision.retry_after = std::max<SimDuration>(retry_after, kMillisecond);
     ++stats_.rejected;
     ++stats_.rejected_reason[static_cast<int>(reason)];
-    ++series.rejected;
     tree_.OnReject(pool);
     UpdateGaugesLocked();
     return decision;
@@ -440,7 +435,6 @@ Decision AdmissionController::Admit(const RequestInfo& info) {
   tickets_.emplace(decision.ticket, std::move(ticket));
   tree_.OnAdmit(pool, bytes);
   inflight_bytes_ += bytes;
-  ++series.admitted;
   ++stats_.admitted;
   if (decision.queue_wait > 0) {
     ++stats_.queued;
@@ -461,9 +455,6 @@ void AdmissionController::OnComplete(uint64_t ticket_id, SimDuration service) {
   }
   Ticket& ticket = it->second;
   tree_.ChargeService(ticket.pool, service);
-  PoolSeries& series = SeriesLocked(ticket.pool);
-  ++series.completed;
-  series.service_micros += std::max<SimDuration>(service, 0) / kMicrosecond;
   // Re-time the reservation from the predicted to the actual service
   // time; it releases lazily as the callers' clock advances past it.
   releases_.erase({ticket.release, ticket_id});

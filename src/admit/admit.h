@@ -283,17 +283,6 @@ class AdmissionController {
  private:
   using PoolId = FairShareTree::PoolId;
 
-  // Per-pool obs series (registered lazily per leaf, labeled
-  // pool="<normalized path>") plus the gauges refreshed each decision.
-  struct PoolSeries {
-    obs::Counter admitted;
-    obs::Counter rejected;
-    obs::Counter completed;
-    obs::Counter preempted;
-    obs::Gauge fair_share;
-    obs::Gauge inflight;
-    obs::Counter service_micros;
-  };
   struct Ticket {
     PoolId pool = 0;
     Priority priority = Priority::kInteractive;
@@ -306,7 +295,7 @@ class AdmissionController {
     std::shared_ptr<exec::CancelToken> cancel;
   };
 
-  PoolSeries& SeriesLocked(PoolId pool);
+  void RegisterPoolSeriesLocked(PoolId pool);
   void ReleaseExpiredLocked(SimTime now);
   void CloseTicketLocked(uint64_t id, bool preempted = false);
   void RefillTokensLocked(SimTime now);
@@ -333,7 +322,9 @@ class AdmissionController {
   mutable std::mutex mu_;
   AdmitOptions options_;
   FairShareTree tree_;
-  std::map<PoolId, PoolSeries> series_;
+  // Per-pool series (labeled pool="<normalized path>"), registered at a
+  // pool's first admission decision and read from tree_ at scrape time.
+  std::map<PoolId, std::vector<obs::CallbackSeries>> series_;
   std::unordered_map<uint64_t, Ticket> tickets_;
   // (release time, ticket id) per open ticket, ordered by release: the
   // k-th earliest entry is when the k-th busy slot frees up.

@@ -43,7 +43,8 @@ FairShareTree::FairShareTree(double default_weight)
 }
 
 FairShareTree::PoolId FairShareTree::ResolveLocked(std::string_view path,
-                                                   double weight_hint) {
+                                                   double weight_hint,
+                                                   bool capped) {
   std::vector<std::string> segments = ParsePoolPath(path);
   if (segments.empty()) segments.emplace_back(kDefaultPool);
   PoolId current = 0;
@@ -52,6 +53,11 @@ FairShareTree::PoolId FairShareTree::ResolveLocked(std::string_view path,
     if (it != nodes_[current].children.end()) {
       current = it->second;
       continue;
+    }
+    // nodes_ holds the root too; the default pool is always materialized.
+    if (capped && nodes_.size() > kMaxPools &&
+        !(current == 0 && segment == kDefaultPool)) {
+      return ResolveLocked(kDefaultPool, 0.0);
     }
     Node node;
     node.name = segment;
@@ -72,7 +78,7 @@ FairShareTree::PoolId FairShareTree::ResolveLocked(std::string_view path,
 void FairShareTree::ConfigurePool(std::string_view path,
                                   const PoolConfig& config) {
   std::lock_guard<std::mutex> lock(mu_);
-  Node& node = nodes_[ResolveLocked(path, 0.0)];
+  Node& node = nodes_[ResolveLocked(path, 0.0, /*capped=*/false)];
   node.config = config;
   if (node.config.weight <= 0.0) node.config.weight = default_weight_;
   node.config.min_share = std::clamp(node.config.min_share, 0.0, 1.0);
@@ -332,6 +338,33 @@ double FairShareTree::QueueSlice(PoolId pool, double capacity) const {
   return std::min(share, max_cap);
 }
 
+FairShareTree::PoolSnapshot FairShareTree::SnapshotLocked(PoolId id) const {
+  const Node& node = nodes_[id];
+  PoolSnapshot snapshot;
+  snapshot.path = node.path;
+  snapshot.depth = node.depth;
+  snapshot.is_leaf = node.children.empty();
+  snapshot.weight = node.config.weight;
+  snapshot.min_share = node.config.min_share;
+  snapshot.max_share = node.config.max_share;
+  snapshot.demand = node.demand;
+  snapshot.fair_share = node.fair_share;
+  snapshot.running = node.running;
+  snapshot.inflight_bytes = node.inflight_bytes;
+  snapshot.admitted = node.admitted;
+  snapshot.rejected = node.rejected;
+  snapshot.completed = node.completed;
+  snapshot.preempted = node.preempted;
+  snapshot.service_micros = node.service_micros;
+  snapshot.scan_micros = node.scan_micros;
+  return snapshot;
+}
+
+FairShareTree::PoolSnapshot FairShareTree::Snapshot(PoolId pool) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return pool < nodes_.size() ? SnapshotLocked(pool) : PoolSnapshot{};
+}
+
 std::vector<FairShareTree::PoolSnapshot> FairShareTree::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<PoolSnapshot> out;
@@ -341,26 +374,9 @@ std::vector<FairShareTree::PoolSnapshot> FairShareTree::Snapshot() const {
   while (!stack.empty()) {
     const PoolId id = stack.back();
     stack.pop_back();
-    const Node& node = nodes_[id];
-    PoolSnapshot snapshot;
-    snapshot.path = node.path;
-    snapshot.depth = node.depth;
-    snapshot.is_leaf = node.children.empty();
-    snapshot.weight = node.config.weight;
-    snapshot.min_share = node.config.min_share;
-    snapshot.max_share = node.config.max_share;
-    snapshot.demand = node.demand;
-    snapshot.fair_share = node.fair_share;
-    snapshot.running = node.running;
-    snapshot.inflight_bytes = node.inflight_bytes;
-    snapshot.admitted = node.admitted;
-    snapshot.rejected = node.rejected;
-    snapshot.completed = node.completed;
-    snapshot.preempted = node.preempted;
-    snapshot.service_micros = node.service_micros;
-    snapshot.scan_micros = node.scan_micros;
-    out.push_back(std::move(snapshot));
+    out.push_back(SnapshotLocked(id));
     // Push children reversed so the name-ordered first child pops first.
+    const Node& node = nodes_[id];
     for (auto it = node.children.rbegin(); it != node.children.rend(); ++it) {
       stack.push_back(it->second);
     }

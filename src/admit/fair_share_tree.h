@@ -29,7 +29,8 @@
 //  * unknown paths are materialized on first sight as ephemeral pools
 //    with the default weight (or the submission's weight_hint) and no
 //    guarantees — exactly how unknown tenants behaved in the flat
-//    design.
+//    design — until kMaxPools nodes exist; a new path past that cap
+//    charges kDefaultPool (configured pools are always materialized).
 
 #ifndef SCALEWALL_ADMIT_FAIR_SHARE_TREE_H_
 #define SCALEWALL_ADMIT_FAIR_SHARE_TREE_H_
@@ -49,6 +50,8 @@ namespace scalewall::admit {
 inline constexpr int kMaxPoolDepth = 4;
 // The leaf empty pool paths resolve to.
 inline constexpr std::string_view kDefaultPool = "default";
+// Pool nodes Resolve materializes at most (clients name their pools).
+inline constexpr size_t kMaxPools = 1024;
 
 // Per-pool scheduling parameters. A pool with min_share > 0 is a
 // *guaranteed* pool: starving it of its entitlement triggers preemption
@@ -179,6 +182,8 @@ class FairShareTree {
   // Every pool in deterministic pre-order (children in name order),
   // root first.
   std::vector<PoolSnapshot> Snapshot() const;
+  // One pool's snapshot (a default one for an unknown id).
+  PoolSnapshot Snapshot(PoolId pool) const;
 
   size_t num_pools() const;       // root included
   int64_t preemptions() const;    // total victims across all pools
@@ -210,7 +215,10 @@ class FairShareTree {
     double subtree_share = 0.0;   // allocation handed to this subtree
   };
 
-  PoolId ResolveLocked(std::string_view path, double weight_hint);
+  // `capped`: new paths past kMaxPools resolve to kDefaultPool.
+  PoolId ResolveLocked(std::string_view path, double weight_hint,
+                       bool capped = true);
+  PoolSnapshot SnapshotLocked(PoolId id) const;
   // Distributes node `id`'s subtree_share among its children (plus its
   // own direct demand) per min-share / weight / max-share.
   void DistributeLocked(PoolId id, double capacity);

@@ -160,6 +160,82 @@ Deployment::Deployment(DeploymentOptions options)
   // (owner mid-failover) are retried until every region's copy heals.
   simulation_.SchedulePeriodic(30 * kSecond, 30 * kSecond,
                                [this] { RetryPendingWrites(); });
+  RegisterDerivedMetrics();
+}
+
+void Deployment::RegisterDerivedMetrics() {
+  auto add = [this](const char* name, bool counter, obs::MetricLabels labels,
+                    std::function<double()> read) {
+    metric_series_.push_back(
+        counter ? metrics_.CallbackCounter(name, labels, std::move(read))
+                : metrics_.CallbackGauge(name, labels, std::move(read)));
+  };
+  for (const auto& [state, label] :
+       {std::pair{cluster::ServerHealth::kHealthy, "healthy"},
+        std::pair{cluster::ServerHealth::kDraining, "draining"},
+        std::pair{cluster::ServerHealth::kDown, "down"},
+        std::pair{cluster::ServerHealth::kRepairing, "repairing"}}) {
+    add("scalewall_fleet_servers", false, {{"state", label}},
+        [this, state = state] { return cluster_.HealthCounts()[state]; });
+  }
+  add("scalewall_catalog_tables", false, {},
+      [this] { return catalog_->num_tables(); });
+  add("scalewall_repartitions_total", true, {},
+      [this] { return repartitions_; });
+
+  // Per-region SM state that is derived, not counted: the assignment
+  // size and the balancer's objective, the utilization spread.
+  for (const auto& region : regions_) {
+    const sm::SmServer* sm = region->sm.get();
+    const obs::MetricLabels labels = {{"region", std::to_string(region->id)}};
+    add("scalewall_sm_assigned_shards", false, labels,
+        [sm] { return sm->num_assigned_shards(); });
+    for (const auto& [name, max] :
+         {std::pair{"scalewall_sm_utilization_min", false},
+          std::pair{"scalewall_sm_utilization_max", true}}) {
+      add(name, false, labels, [sm, max = max] {
+        const auto utilization = sm->Utilization();
+        if (utilization.empty()) return 0.0;
+        const auto [lo, hi] = std::minmax_element(
+            utilization.begin(), utilization.end(),
+            [](const auto& a, const auto& b) { return a.second < b.second; });
+        return max ? hi->second : lo->second;
+      });
+    }
+  }
+
+  // Storage engine, summed over the live fleet (the servers register the
+  // per-server series; the sums keep the one-glance view).
+  auto fleet_sum = [this](auto read) {
+    return [this, read] {
+      double total = 0;
+      for (cluster::ServerId id : cluster_.AllServers()) {
+        if (const cubrick::CubrickServer* server = Lookup(id)) {
+          total += read(*server);
+        }
+      }
+      return total;
+    };
+  };
+  using Stats = cubrick::CubrickServer::Stats;
+  for (const auto& [name, field] :
+       {std::pair{"scalewall_engine_partial_queries_total",
+                  &Stats::partial_queries},
+        std::pair{"scalewall_engine_bricks_compressed_total",
+                  &Stats::bricks_compressed},
+        std::pair{"scalewall_engine_bricks_decompressed_total",
+                  &Stats::bricks_decompressed},
+        std::pair{"scalewall_engine_bricks_evicted_total",
+                  &Stats::bricks_evicted},
+        std::pair{"scalewall_engine_recoveries_total", &Stats::recoveries},
+        std::pair{"scalewall_engine_forwarded_requests_total",
+                  &Stats::forwarded_requests}}) {
+    add(name, true, {}, fleet_sum([field = field](const auto& server) {
+          return (server.stats().*field).load();
+        }));
+  }
+  add("scalewall_engine_memory_bytes", false, {},
+      fleet_sum([](const auto& server) { return server.MemoryUsage(); }));
 }
 
 void Deployment::ProvisionServer(cluster::ServerId id) {

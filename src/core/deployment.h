@@ -248,9 +248,9 @@ class Deployment : public cubrick::ServerDirectory {
   }
   size_t num_regions() const { return regions_.size(); }
   const DeploymentOptions& options() const { return options_; }
-  // Unified metrics registry every component's Stats counters live in;
-  // rendered by core::ExportMetricsText alongside the deployment-level
-  // metrics.
+  // Unified metrics registry every component's series live in,
+  // including the deployment-level lines; core::ExportMetricsText
+  // renders it.
   obs::MetricsRegistry& metrics() { return metrics_; }
   // Distributed-tracing sink (spans recorded only when
   // options.enable_query_tracing is set).
@@ -370,6 +370,15 @@ class Deployment : public cubrick::ServerDirectory {
 
   // Builds and registers the Cubrick instance for a fleet server.
   void ProvisionServer(cluster::ServerId id);
+
+  // Registers the deployment-level lines (fleet health, catalog, per-region
+  // SM assignment and utilization spread, fleet-wide engine sums) as
+  // scrape-time series in metrics_.
+  void RegisterDerivedMetrics();
+
+  // Declared last: the series read the members above, so they leave the
+  // registry before any of them is destroyed.
+  std::vector<obs::CallbackSeries> metric_series_;
 };
 
 }  // namespace scalewall::core

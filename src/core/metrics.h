@@ -1,10 +1,11 @@
 // Operational metrics export.
 //
 // "Because it is broadly used at Facebook, SM has full-fledged management
-// consoles and monitoring dashboards" (Section IV). This module renders a
-// deployment's operational state as Prometheus-style text so it can feed
-// any dashboarding stack: fleet health, per-region shard-manager
-// activity, proxy traffic, and storage-engine counters.
+// consoles and monitoring dashboards" (Section IV). A deployment's
+// operational state — fleet health, per-region shard-manager activity,
+// proxy traffic, storage-engine counters — lives in its metrics registry
+// (the deployment-level lines as scrape-time series), so it renders as
+// Prometheus text for any dashboarding stack.
 
 #ifndef SCALEWALL_CORE_METRICS_H_
 #define SCALEWALL_CORE_METRICS_H_
@@ -15,9 +16,11 @@
 
 namespace scalewall::core {
 
-// Renders all deployment metrics as "name{labels} value" lines, sorted,
-// one metric per line, with "# HELP"-style comments omitted for brevity.
-std::string ExportMetricsText(Deployment& deployment);
+// The deployment's Prometheus text exposition (the same format a
+// scalewall_node serves on /metrics).
+inline std::string ExportMetricsText(Deployment& deployment) {
+  return deployment.metrics().ExportPrometheus();
+}
 
 }  // namespace scalewall::core
 

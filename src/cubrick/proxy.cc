@@ -48,8 +48,6 @@ SimDuration EffectiveDeadline(const QueryRequest& request,
 
 CubrickProxy::Stats::Stats(obs::MetricsRegistry* registry) {
   if (registry == nullptr) return;
-  // Registered under the exact names the hand-written exporter used, so
-  // the scrape output is unchanged by the migration.
   submitted = registry->GetCounter("scalewall_proxy_queries_total",
                                    {{"result", "submitted"}});
   succeeded = registry->GetCounter("scalewall_proxy_queries_total",
@@ -135,20 +133,17 @@ MergedResultCache::Snapshot CubrickProxy::MergedCacheSnapshot() const {
   return merged_cache_->snapshot();
 }
 
-void CubrickProxy::RefreshCoordinatorMetrics() {
-  if (options_.metrics == nullptr) return;
-  for (const auto& [server, picks] : stats_.coordinator_picks) {
-    auto it = pick_gauges_.find(server);
-    if (it == pick_gauges_.end()) {
-      it = pick_gauges_
-               .emplace(server,
-                        options_.metrics->GetGauge(
-                            "scalewall_proxy_coordinator_picks",
-                            {{"server", std::to_string(server)}}))
-               .first;
+void CubrickProxy::CountCoordinatorPick(cluster::ServerId server) {
+  auto it = stats_.coordinator_picks.find(server);
+  if (it == stats_.coordinator_picks.end()) {
+    obs::Counter picks;
+    if (options_.metrics != nullptr) {
+      picks = options_.metrics->GetCounter("scalewall_proxy_coordinator_picks",
+                                           {{"server", std::to_string(server)}});
     }
-    it->second.Set(static_cast<double>(picks));
+    it = stats_.coordinator_picks.emplace(server, picks).first;
   }
+  ++it->second;
 }
 
 void CubrickProxy::AddRegion(RegionContext* context) {
@@ -311,14 +306,14 @@ Result<cluster::ServerId> CubrickProxy::PickCoordinator(
   for (int attempt = 0; attempt < 4; ++attempt) {
     auto server = resolve(partition);
     if (server.ok() && !Blacklisted(*server)) {
-      stats_.coordinator_picks[*server]++;
+      CountCoordinatorPick(*server);
       return server;
     }
     if (server.ok()) ++stats_.blacklist_hits;
     if (options_.strategy == CoordinatorStrategy::kPartitionZero) {
       // Strategy 1 has no alternative coordinator.
       if (server.ok()) {
-        stats_.coordinator_picks[*server]++;
+        CountCoordinatorPick(*server);
         return server;  // use it even though blacklisted
       }
       return server.status();

@@ -267,18 +267,12 @@ class CubrickProxy {
     // Per-stage latency histograms (milliseconds).
     obs::HistogramMetric attempt_latency_ms{/*min_value=*/0.001};
     obs::HistogramMetric query_latency_ms{/*min_value=*/0.001};
-    // Coordinator picks per server (coordinator balance ablation).
-    // Exported as scalewall_proxy_coordinator_picks{server=...} gauges,
-    // refreshed by RefreshCoordinatorMetrics on export.
-    std::map<cluster::ServerId, int64_t> coordinator_picks;
+    // Coordinator picks per server (coordinator balance ablation),
+    // registered as scalewall_proxy_coordinator_picks{server=...} at the
+    // server's first pick.
+    std::map<cluster::ServerId, obs::Counter> coordinator_picks;
   };
   const Stats& stats() const { return stats_; }
-
-  // Copies stats().coordinator_picks into labeled
-  // scalewall_proxy_coordinator_picks{server="<id>"} gauges (like the
-  // servers' exec-pool gauges: refreshed on export, registered lazily).
-  // A no-op without a registry.
-  void RefreshCoordinatorMetrics();
 
   // The merged-result cache's internal counters (zeros when disabled).
   MergedResultCache::Snapshot MergedCacheSnapshot() const;
@@ -327,6 +321,9 @@ class CubrickProxy {
   Result<cluster::ServerId> PickCoordinator(RegionContext& ctx,
                                             const Query& query,
                                             SimDuration& extra_latency);
+  // Counts a pick in stats().coordinator_picks, registering the server's
+  // counter on its first pick.
+  void CountCoordinatorPick(cluster::ServerId server);
 
   // Records a failure against `server`'s streak, blacklisting it when the
   // streak reaches the threshold within one window.
@@ -362,8 +359,6 @@ class CubrickProxy {
   // Merged-result cache (null when merged_cache_bytes == 0).
   std::unique_ptr<MergedResultCache> merged_cache_;
   Stats stats_;
-  // Coordinator-pick gauges (registered lazily on first refresh).
-  std::map<cluster::ServerId, obs::Gauge> pick_gauges_;
 };
 
 }  // namespace scalewall::cubrick

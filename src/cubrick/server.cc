@@ -68,54 +68,42 @@ CubrickServer::CubrickServer(sim::Simulation* simulation,
     result_cache_ =
         std::make_unique<PartialResultCache>(options_.result_cache_bytes);
   }
+  obs::MetricsRegistry* metrics = options_.metrics;
+  if (metrics == nullptr) return;
+  // Scrape-time series over the pool's relaxed atomics and the cache's
+  // snapshot: nothing to mirror, never stale.
+  const obs::MetricLabels labels = {{"server", std::to_string(server_)}};
+  auto add = [&](const char* name, bool counter,
+                 std::function<double()> read) {
+    metric_series_.push_back(
+        counter ? metrics->CallbackCounter(name, labels, std::move(read))
+                : metrics->CallbackGauge(name, labels, std::move(read)));
+  };
+  if (exec::ThreadPool* pool = exec_pool_.get()) {
+    add("scalewall_exec_pool_queue_depth", false,
+        [pool] { return pool->queue_depth(); });
+    add("scalewall_exec_pool_queue_depth_peak", false,
+        [pool] { return pool->peak_queue_depth(); });
+    add("scalewall_exec_pool_steals_total", true,
+        [pool] { return pool->steals(); });
+    add("scalewall_exec_pool_tasks_submitted_total", true,
+        [pool] { return pool->tasks_submitted(); });
+    add("scalewall_exec_pool_tasks_executed_total", true,
+        [pool] { return pool->tasks_executed(); });
+  }
+  if (PartialResultCache* cache = result_cache_.get()) {
+    add("scalewall_server_result_cache_entries", false,
+        [cache] { return cache->snapshot().entries; });
+    add("scalewall_server_result_cache_bytes", false,
+        [cache] { return cache->snapshot().bytes; });
+    add("scalewall_server_result_cache_evictions_total", true,
+        [cache] { return cache->snapshot().evictions; });
+  }
 }
 
 PartialResultCache::Snapshot CubrickServer::ResultCacheSnapshot() const {
   if (result_cache_ == nullptr) return {};
   return result_cache_->snapshot();
-}
-
-void CubrickServer::RefreshCacheMetrics() {
-  if (result_cache_ == nullptr || options_.metrics == nullptr) return;
-  if (!cache_gauges_registered_) {
-    const obs::MetricLabels labels = {{"server", std::to_string(server_)}};
-    cache_entries_ = options_.metrics->GetGauge(
-        "scalewall_server_result_cache_entries", labels);
-    cache_bytes_ = options_.metrics->GetGauge(
-        "scalewall_server_result_cache_bytes", labels);
-    cache_evictions_ = options_.metrics->GetGauge(
-        "scalewall_server_result_cache_evictions_total", labels);
-    cache_gauges_registered_ = true;
-  }
-  const auto snapshot = result_cache_->snapshot();
-  cache_entries_.Set(static_cast<double>(snapshot.entries));
-  cache_bytes_.Set(static_cast<double>(snapshot.bytes));
-  cache_evictions_.Set(static_cast<double>(snapshot.evictions));
-}
-
-void CubrickServer::RefreshExecMetrics() {
-  if (exec_pool_ == nullptr || options_.metrics == nullptr) return;
-  if (!exec_gauges_registered_) {
-    const obs::MetricLabels labels = {{"server", std::to_string(server_)}};
-    exec_queue_depth_ =
-        options_.metrics->GetGauge("scalewall_exec_pool_queue_depth", labels);
-    exec_steals_ =
-        options_.metrics->GetGauge("scalewall_exec_pool_steals_total", labels);
-    exec_tasks_submitted_ = options_.metrics->GetGauge(
-        "scalewall_exec_pool_tasks_submitted_total", labels);
-    exec_tasks_executed_ = options_.metrics->GetGauge(
-        "scalewall_exec_pool_tasks_executed_total", labels);
-    exec_queue_depth_peak_ = options_.metrics->GetGauge(
-        "scalewall_exec_pool_queue_depth_peak", labels);
-    exec_gauges_registered_ = true;
-  }
-  exec_queue_depth_.Set(static_cast<double>(exec_pool_->queue_depth()));
-  exec_steals_.Set(static_cast<double>(exec_pool_->steals()));
-  exec_tasks_submitted_.Set(
-      static_cast<double>(exec_pool_->tasks_submitted()));
-  exec_tasks_executed_.Set(static_cast<double>(exec_pool_->tasks_executed()));
-  exec_queue_depth_peak_.Set(
-      static_cast<double>(exec_pool_->peak_queue_depth()));
 }
 
 SimDuration CubrickServer::EnqueueScan(SimTime now, SimDuration service) {
@@ -678,9 +666,9 @@ SimTime CubrickServer::Now() const {
 
 int CubrickServer::ExecPoolIdFor(const std::string* pool) {
   if (exec_pool_ == nullptr) return exec::ThreadPool::kNoPool;
-  const std::string path = pool != nullptr && !pool->empty()
-                               ? admit::NormalizePoolPath(*pool)
-                               : std::string(admit::kDefaultPool);
+  std::string path = pool != nullptr && !pool->empty()
+                         ? admit::NormalizePoolPath(*pool)
+                         : std::string(admit::kDefaultPool);
   // The stride weight tracks the admission tree's configured weight for
   // the leaf (1.0 when no tree is attached): the same knob governs both
   // admission-time fair shares and scan-time CPU arbitration.
@@ -690,6 +678,12 @@ int CubrickServer::ExecPoolIdFor(const std::string* pool) {
   }
   std::lock_guard<std::mutex> lock(scan_stats_mu_);
   auto it = exec_pool_ids_.find(path);
+  if (it == exec_pool_ids_.end() && exec_pool_ids_.size() >= admit::kMaxPools) {
+    // Clients name their pools: past the cap, a new path shares the
+    // default pool instead of registering one more.
+    path = admit::kDefaultPool;
+    it = exec_pool_ids_.find(path);
+  }
   if (it != exec_pool_ids_.end()) {
     exec_pool_->SetPoolWeight(it->second, weight);
     return it->second;

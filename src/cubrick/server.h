@@ -403,17 +403,6 @@ class CubrickServer : public sm::AppServer {
   // is configured).
   PartialResultCache::Snapshot ResultCacheSnapshot() const;
 
-  // Copies the exec pool's counters (queue depth, steals, submitted,
-  // executed) into the registry's scalewall_exec_pool_* gauges. Called
-  // by the metrics exporter before rendering; a no-op without a pool or
-  // registry.
-  void RefreshExecMetrics();
-
-  // Copies the partial-result cache's size/eviction counters into
-  // scalewall_server_result_cache_{entries,bytes,evictions} gauges.
-  // Called by the metrics exporter; a no-op without a cache or registry.
-  void RefreshCacheMetrics();
-
  private:
   // Returns kNonRetryable if taking `shard` here would co-locate two
   // different partitions of one table.
@@ -476,18 +465,10 @@ class CubrickServer : public sm::AppServer {
   // table -> partitions hosted here (collision detection).
   std::unordered_map<std::string, std::set<uint32_t>> hosted_partitions_;
   Stats stats_;
-  // Exec-pool gauges (registered lazily by RefreshExecMetrics).
-  obs::Gauge exec_queue_depth_;
-  obs::Gauge exec_steals_;
-  obs::Gauge exec_tasks_submitted_;
-  obs::Gauge exec_tasks_executed_;
-  obs::Gauge exec_queue_depth_peak_;
-  bool exec_gauges_registered_ = false;
-  // Result-cache gauges (registered lazily by RefreshCacheMetrics).
-  obs::Gauge cache_entries_;
-  obs::Gauge cache_bytes_;
-  obs::Gauge cache_evictions_;
-  bool cache_gauges_registered_ = false;
+  // Scrape-time series over the exec pool and result cache (registered
+  // in the constructor when the registry and the pool/cache exist).
+  // Declared after exec_pool_/result_cache_ so they are removed first.
+  std::vector<obs::CallbackSeries> metric_series_;
   bool monitors_started_ = false;
 };
 

@@ -1,7 +1,10 @@
 #include "obs/metrics_registry.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <sstream>
+#include <string_view>
 
 namespace scalewall::obs {
 
@@ -15,25 +18,50 @@ MetricLabels Normalize(MetricLabels labels) {
 void EmitSeriesName(std::ostringstream& out, const std::string& name,
                     const MetricLabels& labels,
                     const char* extra_key = nullptr,
-                    const char* extra_value = nullptr) {
+                    const std::string& extra_value = "") {
   out << name;
-  if (!labels.empty() || extra_key != nullptr) {
-    out << "{";
-    bool first = true;
-    for (const auto& [key, value] : labels) {
-      if (!first) out << ",";
-      out << key << "=\"" << value << "\"";
-      first = false;
+  if (labels.empty() && extra_key == nullptr) return;
+  char separator = '{';
+  auto emit = [&](std::string_view key, std::string_view value) {
+    out << separator << key << "=\"";
+    separator = ',';
+    for (char c : value) {  // escaped as the text format requires
+      if (c == '\\' || c == '"' || c == '\n') out << '\\';
+      out << (c == '\n' ? 'n' : c);
     }
-    if (extra_key != nullptr) {
-      if (!first) out << ",";
-      out << extra_key << "=\"" << extra_value << "\"";
-    }
-    out << "}";
+    out << '"';
+  };
+  for (const auto& [key, value] : labels) emit(key, value);
+  if (extra_key != nullptr) emit(extra_key, extra_value);
+  out << '}';
+}
+
+// Integral values render as integers ("48", "123456789"); every other
+// value in the shortest form that parses back to the same double.
+std::string FormatValue(double value) {
+  if (std::isnan(value)) return "NaN";
+  if (std::isinf(value)) return value > 0 ? "+Inf" : "-Inf";
+  if (value == std::trunc(value) && std::fabs(value) < 1e15) {
+    return std::to_string(static_cast<int64_t>(value));
   }
+  char buffer[32];
+  const auto result = std::to_chars(buffer, buffer + sizeof(buffer), value);
+  return std::string(buffer, result.ptr);
 }
 
 }  // namespace
+
+CallbackRegistration::CallbackRegistration(MetricsRegistry* registry,
+                                           std::string name,
+                                           MetricLabels labels, uint64_t id)
+    : registry_(registry),
+      name_(std::move(name)),
+      labels_(std::move(labels)),
+      id_(id) {}
+
+CallbackRegistration::~CallbackRegistration() {
+  registry_->RemoveCallback(name_, labels_, id_);
+}
 
 Counter MetricsRegistry::GetCounter(const std::string& name,
                                     MetricLabels labels) {
@@ -64,34 +92,27 @@ HistogramMetric MetricsRegistry::GetHistogram(const std::string& name,
   return it->second.histogram;
 }
 
-std::string MetricsRegistry::ExportText() const {
+CallbackSeries MetricsRegistry::AddCallback(const std::string& name,
+                                            MetricLabels labels,
+                                            Series::Kind kind,
+                                            std::function<double()> read) {
+  labels = Normalize(std::move(labels));
   std::lock_guard<std::mutex> lock(mu_);
-  std::ostringstream out;
-  for (const auto& [key, series] : series_) {
-    switch (series.kind) {
-      case Series::Kind::kCounter:
-        EmitSeriesName(out, key.name, key.labels);
-        out << " " << series.counter.load() << "\n";
-        break;
-      case Series::Kind::kGauge:
-        EmitSeriesName(out, key.name, key.labels);
-        out << " " << series.gauge.value() << "\n";
-        break;
-      case Series::Kind::kHistogram: {
-        for (const auto& [q, qname] :
-             {std::pair<double, const char*>{0.5, "0.5"},
-              std::pair<double, const char*>{0.99, "0.99"},
-              std::pair<double, const char*>{0.999, "0.999"}}) {
-          EmitSeriesName(out, key.name, key.labels, "quantile", qname);
-          out << " " << series.histogram.Quantile(q) << "\n";
-        }
-        EmitSeriesName(out, key.name + "_count", key.labels);
-        out << " " << series.histogram.count() << "\n";
-        break;
-      }
-    }
-  }
-  return out.str();
+  const uint64_t id = next_callback_id_++;
+  Series& series = series_[SeriesKey{name, labels}];
+  series.kind = kind;
+  series.read = std::move(read);
+  series.callback_id = id;
+  return std::make_unique<CallbackRegistration>(this, name, std::move(labels),
+                                                id);
+}
+
+void MetricsRegistry::RemoveCallback(const std::string& name,
+                                     const MetricLabels& labels, uint64_t id) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = series_.find(SeriesKey{name, labels});
+  // A later registration of the same key owns the series now.
+  if (it != series_.end() && it->second.callback_id == id) series_.erase(it);
 }
 
 std::string MetricsRegistry::ExportPrometheus() const {
@@ -116,27 +137,30 @@ std::string MetricsRegistry::ExportPrometheus() const {
       case Series::Kind::kCounter:
         type_line(key.name, "counter");
         EmitSeriesName(out, key.name, key.labels);
-        out << " " << series.counter.load() << "\n";
+        out << " "
+            << (series.read ? FormatValue(series.read())
+                            : std::to_string(series.counter.load()))
+            << "\n";
         break;
       case Series::Kind::kGauge:
         type_line(key.name, "gauge");
         EmitSeriesName(out, key.name, key.labels);
-        out << " " << series.gauge.value() << "\n";
+        out << " "
+            << FormatValue(series.read ? series.read() : series.gauge.value())
+            << "\n";
         break;
       case Series::Kind::kHistogram: {
         type_line(key.name, "histogram");
         const Histogram snapshot = series.histogram.Snapshot();
         for (double upper : kBuckets) {
-          std::ostringstream le;
-          le << upper;
           EmitSeriesName(out, key.name + "_bucket", key.labels, "le",
-                         le.str().c_str());
+                         FormatValue(upper));
           out << " " << snapshot.CumulativeLessEqual(upper) << "\n";
         }
         EmitSeriesName(out, key.name + "_bucket", key.labels, "le", "+Inf");
         out << " " << snapshot.count() << "\n";
         EmitSeriesName(out, key.name + "_sum", key.labels);
-        out << " " << snapshot.sum() << "\n";
+        out << " " << FormatValue(snapshot.sum()) << "\n";
         EmitSeriesName(out, key.name + "_count", key.labels);
         out << " " << snapshot.count() << "\n";
         break;
@@ -144,16 +168,6 @@ std::string MetricsRegistry::ExportPrometheus() const {
     }
   }
   return out.str();
-}
-
-std::vector<std::string> MetricsRegistry::SeriesNames() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> names;
-  names.reserve(series_.size());
-  for (const auto& [key, series] : series_) {
-    if (names.empty() || names.back() != key.name) names.push_back(key.name);
-  }
-  return names;
 }
 
 size_t MetricsRegistry::num_series() const {

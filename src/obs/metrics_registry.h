@@ -1,25 +1,26 @@
 // Unified metrics registry (scalewall::obs).
 //
-// Before this module, proxy, server and SM each grew an ad-hoc `Stats`
-// struct with divergent field conventions, and core::ExportMetricsText
-// hand-rendered each one. The registry unifies them: a component asks
-// for a Counter / Gauge / HistogramMetric handle by (name, labels) and
-// the registry renders every registered series in one sorted
-// Prometheus-style text block.
+// Every component's statistics live here: a component asks for a
+// Counter / Gauge / HistogramMetric handle by (name, labels), or
+// registers a callback series whose value is computed when the registry
+// is scraped, and ExportPrometheus renders every registered series in
+// one sorted Prometheus text exposition. The shell, Deployment
+// (core::ExportMetricsText) and the nodes' /metrics all render through
+// that one exporter.
 //
 // Handles are value types over shared cells: a default-constructed
 // handle owns a private standalone cell, so Stats structs stay directly
 // constructible in unit tests with no registry attached — registration
-// just makes the same cell visible to ExportText. Counter mimics enough
-// of int64/std::atomic<int64_t> (operator++, +=, fetch_add, load,
-// implicit conversion) that existing call sites and tests compile
-// unchanged after migration.
+// just makes the same cell visible to the exporter. Counter mimics
+// enough of int64/std::atomic<int64_t> (operator++, +=, fetch_add, load,
+// implicit conversion) that call sites read like plain integers.
 
 #ifndef SCALEWALL_OBS_METRICS_REGISTRY_H_
 #define SCALEWALL_OBS_METRICS_REGISTRY_H_
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -90,10 +91,6 @@ class HistogramMetric {
     std::lock_guard<std::mutex> lock(cell_->mu);
     cell_->histogram.Add(value);
   }
-  double Quantile(double q) const {
-    std::lock_guard<std::mutex> lock(cell_->mu);
-    return cell_->histogram.Quantile(q);
-  }
   int64_t count() const {
     std::lock_guard<std::mutex> lock(cell_->mu);
     return static_cast<int64_t>(cell_->histogram.count());
@@ -114,12 +111,29 @@ class HistogramMetric {
   std::shared_ptr<Cell> cell_;
 };
 
-// Name+labels -> shared cell. Getting the same (name, labels) twice
-// returns handles over the same cell; distinct label sets are distinct
-// series. ExportText renders all series sorted by (name, labels) as
-//   name{k="v",...} value
-// with counters as plain integers (matching the pre-registry exporter)
-// and histograms as quantile series (0.5/0.99/0.999) plus a _count line.
+class MetricsRegistry;
+
+// One registered callback series; destroying it removes the series.
+class CallbackRegistration {
+ public:
+  CallbackRegistration(MetricsRegistry* registry, std::string name,
+                       MetricLabels labels, uint64_t id);
+  CallbackRegistration(const CallbackRegistration&) = delete;
+  CallbackRegistration& operator=(const CallbackRegistration&) = delete;
+  ~CallbackRegistration();
+
+ private:
+  MetricsRegistry* registry_;
+  std::string name_;
+  MetricLabels labels_;  // sorted
+  uint64_t id_;
+};
+// Move-only handle to a callback series. Declare it after the state its
+// callback reads, so the series is removed first.
+using CallbackSeries = std::unique_ptr<CallbackRegistration>;
+
+// Name+labels -> series. Getting the same (name, labels) twice returns
+// handles over the same cell; distinct label sets are distinct series.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -131,19 +145,31 @@ class MetricsRegistry {
   HistogramMetric GetHistogram(const std::string& name, MetricLabels labels = {},
                                double min_value = 0.001);
 
-  std::string ExportText() const;
+  // A counter or gauge series whose value `read` computes at scrape
+  // time: for state another object already keeps (pool queue depth,
+  // cache size, fleet health), so nothing has to mirror it into a cell.
+  // Callbacks run under the registry lock — a scrape can never outlive
+  // the object a callback reads, as long as the returned handle is
+  // destroyed first — so a callback must never call into the registry.
+  // Registering an existing (name, labels) takes that series over.
+  CallbackSeries CallbackCounter(const std::string& name, MetricLabels labels,
+                                 std::function<double()> read) {
+    return AddCallback(name, std::move(labels), Series::Kind::kCounter,
+                       std::move(read));
+  }
+  CallbackSeries CallbackGauge(const std::string& name, MetricLabels labels,
+                               std::function<double()> read) {
+    return AddCallback(name, std::move(labels), Series::Kind::kGauge,
+                       std::move(read));
+  }
 
-  // Full Prometheus text exposition of every registered series, with no
-  // deployment-level derived lines — the standalone per-process export a
-  // scalewall_node serves on /metrics. Counters and gauges render as
-  // `name{labels} value` with `# TYPE` headers; histograms render as
-  // real cumulative `_bucket{le="..."}` series over a fixed 1-2-5
-  // ladder plus `_sum` and `_count` (quantile convenience lines are
-  // ExportText's shorthand, not part of this format).
+  // Prometheus text exposition of every registered series, sorted by
+  // (name, labels), one `# TYPE` header per family. Counters and gauges
+  // render as `name{labels} value` (integral values as integers, others
+  // in the shortest round-trip form); histograms render as cumulative
+  // `_bucket{le="..."}` series over a fixed 1-2-5 ladder plus `_sum` and
+  // `_count`.
   std::string ExportPrometheus() const;
-
-  // Sorted names of all registered series (metric-name lint, tests).
-  std::vector<std::string> SeriesNames() const;
 
   size_t num_series() const;
 
@@ -161,10 +187,20 @@ class MetricsRegistry {
     Gauge gauge;
     HistogramMetric histogram;
     enum class Kind { kCounter, kGauge, kHistogram } kind = Kind::kCounter;
+    // Set for callback series (kCounter/kGauge): read instead of the cell.
+    std::function<double()> read;
+    uint64_t callback_id = 0;  // the registration that owns `read`
   };
+  friend class CallbackRegistration;
+
+  CallbackSeries AddCallback(const std::string& name, MetricLabels labels,
+                             Series::Kind kind, std::function<double()> read);
+  void RemoveCallback(const std::string& name, const MetricLabels& labels,
+                      uint64_t id);
 
   mutable std::mutex mu_;
   std::map<SeriesKey, Series> series_;
+  uint64_t next_callback_id_ = 1;
 };
 
 }  // namespace scalewall::obs

@@ -24,8 +24,6 @@ std::string_view MigrationReasonName(MigrationReason reason) {
 SmServer::Stats::Stats(obs::MetricsRegistry* registry,
                        const obs::MetricLabels& labels) {
   if (registry == nullptr) return;
-  // Registered under the exact names the hand-written exporter used, so
-  // the scrape output is unchanged by the migration.
   placements = registry->GetCounter("scalewall_sm_placements_total", labels);
   placement_rejections =
       registry->GetCounter("scalewall_sm_placement_rejections_total", labels);

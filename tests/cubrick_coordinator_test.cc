@@ -290,7 +290,7 @@ TEST_P(StrategySweepTest, BalancedOrConcentratedAsDocumented) {
   const cubrick::CubrickProxy::Stats& stats = dep.proxy().stats();
   int64_t max_picks = 0;
   for (const auto& [server, picks] : stats.coordinator_picks) {
-    max_picks = std::max(max_picks, picks);
+    max_picks = std::max(max_picks, picks.value());
   }
   if (GetParam() == CoordinatorStrategy::kPartitionZero) {
     // All picks land on partition 0's host.

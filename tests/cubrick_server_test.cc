@@ -4,11 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
 #include <memory>
+#include <string>
+#include <thread>
 
 #include "cluster/cluster.h"
+#include "admit/fair_share_tree.h"
 #include "cubrick/server.h"
+#include "obs/metrics_registry.h"
 #include "sim/simulation.h"
 #include "workload/generators.h"
 
@@ -480,6 +485,112 @@ TEST_F(CubrickServerTest, ExecutePartialManySerialFallbackWithoutPool) {
   ASSERT_TRUE(many.ok());
   ASSERT_EQ(many->size(), 1u);
   EXPECT_EQ((*many)[0].result.rows_scanned, 100);
+}
+
+TEST_F(CubrickServerTest, ExecSchedulingPoolsCappedAgainstDistinctPaths) {
+  auto shards = MakeTable("t");
+  CubrickServerOptions popts = options_;
+  popts.scan_workers = 2;
+  CubrickServer host(&sim_, &cluster_, &catalog_, /*server=*/5, popts);
+  ASSERT_TRUE(host.AddShard(shards[0], sm::ShardRole::kPrimary).ok());
+  ASSERT_TRUE(host.InsertRows("t", 0, MakeRows(50)).ok());
+  Query q;
+  q.table = "t";
+  q.aggregations = {Aggregation{0, AggOp::kCount}};
+  // A client cycling through distinct pool paths registers at most
+  // kMaxPools scheduling pools (plus the shared default).
+  for (int i = 0; i < 5000; ++i) {
+    const std::string pool = "tenant/p" + std::to_string(i);
+    ASSERT_TRUE(host.ExecutePartial(q, 0, -1, nullptr, {}, -1,
+                                    cache::CachePolicy::kDefault, nullptr,
+                                    exec::ScanPath::kVectorized, nullptr, &pool)
+                    .ok());
+  }
+  EXPECT_LE(host.exec_pool()->PoolStats().size(), admit::kMaxPools + 1);
+}
+
+// A pool-and-cache host registered into `registry`.
+CubrickServerOptions PoolAndCacheOptions(CubrickServerOptions options,
+                                         obs::MetricsRegistry* registry) {
+  options.metrics = registry;
+  options.scan_workers = 2;
+  options.morsel_rows = 64;
+  options.result_cache_bytes = 1 << 20;
+  return options;
+}
+
+TEST_F(CubrickServerTest, PoolAndCacheSeriesExportedWithoutRefresh) {
+  obs::MetricsRegistry registry;
+  auto shards = MakeTable("t");
+  {
+    CubrickServer host(&sim_, &cluster_, &catalog_, /*server=*/5,
+                       PoolAndCacheOptions(options_, &registry));
+    ASSERT_TRUE(host.AddShard(shards[0], sm::ShardRole::kPrimary).ok());
+    ASSERT_TRUE(host.InsertRows("t", 0, MakeRows(500)).ok());
+    Query q;
+    q.table = "t";
+    q.group_by = {0};
+    q.aggregations = {Aggregation{0, AggOp::kSum}};
+    ASSERT_TRUE(host.ExecutePartial(q, 0).ok());
+
+    // Read at scrape time: the exported values are the live ones.
+    const std::string text = registry.ExportPrometheus();
+    const std::string entries =
+        "scalewall_server_result_cache_entries{server=\"5\"} " +
+        std::to_string(host.ResultCacheSnapshot().entries) + "\n";
+    EXPECT_NE(text.find(entries), std::string::npos) << text;
+    EXPECT_NE(text.find("# TYPE scalewall_exec_pool_queue_depth gauge\n"
+                        "scalewall_exec_pool_queue_depth{server=\"5\"} "),
+              std::string::npos)
+        << text;
+    const std::string submitted =
+        "# TYPE scalewall_exec_pool_tasks_submitted_total counter\n"
+        "scalewall_exec_pool_tasks_submitted_total{server=\"5\"} " +
+        std::to_string(host.exec_pool()->tasks_submitted()) + "\n";
+    EXPECT_NE(text.find(submitted), std::string::npos) << text;
+  }
+  // The series leave with the server; its registered counters stay.
+  const std::string after = registry.ExportPrometheus();
+  EXPECT_EQ(after.find("scalewall_server_result_cache_entries"),
+            std::string::npos);
+  EXPECT_EQ(after.find("scalewall_exec_pool_"), std::string::npos);
+  EXPECT_NE(after.find("scalewall_server_partial_queries_total{server=\"5\"} 1"),
+            std::string::npos);
+}
+
+TEST_F(CubrickServerTest, ScrapeWhileScanningIsRaceFree) {
+  obs::MetricsRegistry registry;
+  auto shards = MakeTable("t");
+  CubrickServer host(&sim_, &cluster_, &catalog_, /*server=*/5,
+                     PoolAndCacheOptions(options_, &registry));
+  ASSERT_TRUE(host.AddShard(shards[0], sm::ShardRole::kPrimary).ok());
+  ASSERT_TRUE(host.InsertRows("t", 0, MakeRows(2000)).ok());
+
+  std::atomic<bool> done{false};
+  std::atomic<int> scrapes{0};
+  std::thread scraper([&] {
+    while (!done.load()) {
+      if (registry.ExportPrometheus().find("scalewall_exec_pool_queue_depth") !=
+          std::string::npos) {
+        ++scrapes;
+      }
+    }
+  });
+  // Distinct group-bys miss the cache (inserts), repeats hit it; every
+  // scan fans morsels across the pool's workers.
+  for (int i = 0; i < 40; ++i) {
+    Query q;
+    q.table = "t";
+    q.group_by = {i % 2};
+    q.aggregations = {Aggregation{0, AggOp::kSum}};
+    q.filters = {FilterRange{0, 0, static_cast<uint32_t>(i % 8)}};
+    ASSERT_TRUE(host.ExecutePartial(q, 0).ok());
+  }
+  while (scrapes.load() == 0) std::this_thread::yield();
+  done.store(true);
+  scraper.join();
+  EXPECT_GT(host.exec_pool()->tasks_executed(), 0);
+  EXPECT_GT(host.ResultCacheSnapshot().entries, 0u);
 }
 
 }  // namespace

@@ -4,6 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <regex>
+#include <set>
+#include <sstream>
+#include <string>
 
 #include "core/deployment.h"
 #include "core/metrics.h"
@@ -473,6 +477,74 @@ TEST_F(DeploymentTest, MetricsExportCoversSubsystems) {
            "scalewall_engine_memory_bytes",
        }) {
     EXPECT_NE(text.find(metric), std::string::npos) << metric << "\n" << text;
+  }
+}
+
+TEST_F(DeploymentTest, MetricsExportIsStrictPrometheusText) {
+  DeploymentOptions options = SmallOptions();
+  options.enable_result_caching = true;
+  options.scheduler.enable_admission = true;
+  options.server_options.scan_workers = 2;
+  Make(options);
+  Setup("t", 500);
+  cubrick::QueryRequest request(CountQuery("t"));
+  // A client-named pool with every character the text format escapes.
+  request.claim.pool_path = "dash\"boards\\x\ny";
+  ASSERT_TRUE(dep_->Query(cubrick::QueryRequest(request)).status.ok());
+  ASSERT_TRUE(dep_->Query(cubrick::QueryRequest(request)).status.ok());
+  const std::string text = ExportMetricsText(*dep_);
+
+  const std::string name = "[a-zA-Z_:][a-zA-Z0-9_:]*";
+  const std::string label =
+      "[a-zA-Z_][a-zA-Z0-9_]*=\"(?:[^\"\\\\\\n]|\\\\[\\\\\"n])*\"";
+  const std::regex type_re("# TYPE (" + name + ") (counter|gauge|histogram)");
+  const std::regex sample_re("(" + name + ")(?:\\{" + label + "(?:," + label +
+                             ")*\\})? (-?[0-9][0-9.e+-]*|[+-]Inf|NaN)");
+  std::map<std::string, std::string> types;  // family -> TYPE
+  std::set<std::string> families_with_samples;
+  std::istringstream in(text);
+  std::string line;
+  int samples = 0;
+  while (std::getline(in, line)) {
+    std::smatch match;
+    if (line.rfind("#", 0) == 0) {
+      ASSERT_TRUE(std::regex_match(line, match, type_re)) << line;
+      const std::string family = match[1];
+      EXPECT_TRUE(types.emplace(family, match[2]).second)
+          << "second # TYPE for " << family;
+      EXPECT_EQ(families_with_samples.count(family), 0u)
+          << "# TYPE after the first series of " << family;
+      continue;
+    }
+    ASSERT_TRUE(std::regex_match(line, match, sample_re)) << line;
+    ++samples;
+    std::string family = match[1];
+    if (types.count(family) == 0) {
+      for (const char* suffix : {"_bucket", "_sum", "_count"}) {
+        const std::string s = suffix;
+        if (family.size() > s.size() &&
+            family.compare(family.size() - s.size(), s.size(), s) == 0 &&
+            types.count(family.substr(0, family.size() - s.size())) != 0) {
+          family.resize(family.size() - s.size());
+          EXPECT_EQ(types[family], "histogram") << line;
+          break;
+        }
+      }
+    }
+    EXPECT_EQ(types.count(family), 1u) << "no # TYPE before " << line;
+    families_with_samples.insert(family);
+  }
+  EXPECT_GT(samples, 100);
+  // The derived lines, the callback series and the escaped pool label are
+  // all in the one exposition.
+  for (const char* series : {
+           "scalewall_fleet_servers{state=\"healthy\"} 48\n",
+           "scalewall_catalog_tables 1\n",
+           "scalewall_exec_pool_queue_depth{server=\"0\"} ",
+           "scalewall_server_result_cache_entries{server=\"",
+           "scalewall_pool_inflight{pool=\"dash\\\"boards\\\\x\\ny\"} ",
+       }) {
+    EXPECT_NE(text.find(series), std::string::npos) << series;
   }
 }
 

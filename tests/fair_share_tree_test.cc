@@ -89,6 +89,26 @@ TEST(PoolPathTest, UnknownPoolMaterializedWithHintButConfigWins) {
   EXPECT_DOUBLE_EQ(7.0, tree.Config(hinted).weight);
 }
 
+TEST(PoolPathTest, MaterializedPoolsCappedAgainstDistinctPaths) {
+  // A client cycling through distinct pool paths cannot grow the tree
+  // past kMaxPools: new paths beyond the cap charge the default pool.
+  FairShareTree tree;
+  const FairShareTree::PoolId early = tree.Resolve("tenant/early");
+  for (int i = 0; i < 5000; ++i) {
+    tree.Resolve("tenant/p" + std::to_string(i));
+  }
+  EXPECT_LE(tree.num_pools(), kMaxPools + 2);  // + root + default
+  const FairShareTree::PoolId late = tree.Resolve("tenant/p4999");
+  EXPECT_EQ(std::string(kDefaultPool), tree.PoolPath(late));
+  // Pools materialized before the cap keep resolving to themselves.
+  EXPECT_EQ(early, tree.Resolve("tenant/early"));
+  EXPECT_EQ(tree.Resolve("tenant/p0"), tree.Resolve("tenant/p0"));
+  EXPECT_EQ("tenant/p0", tree.PoolPath(tree.Resolve("tenant/p0")));
+  // Configured pools are always materialized.
+  tree.ConfigurePool("ops/guaranteed", PoolConfig{.min_share = 0.2});
+  EXPECT_EQ("ops/guaranteed", tree.PoolPath(tree.Resolve("ops/guaranteed")));
+}
+
 // --- min-share guarantees under demand skew ---
 
 TEST(FairShareTreeTest, MinShareHeldAgainstHeavyweightSibling) {

@@ -288,7 +288,7 @@ TEST(MetricsRegistryTest, StandaloneHandlesWorkWithoutRegistry) {
   EXPECT_EQ(h.count(), 2);
 }
 
-TEST(MetricsRegistryTest, ExportTextRendersAllKindsSorted) {
+TEST(MetricsRegistryTest, ExportPrometheusRendersAllKindsSorted) {
   MetricsRegistry registry;
   Counter c = registry.GetCounter("b_total", {{"region", "0"}});
   c += 8;
@@ -298,31 +298,97 @@ TEST(MetricsRegistryTest, ExportTextRendersAllKindsSorted) {
   h.Add(10.0);
   h.Add(20.0);
 
-  std::string text = registry.ExportText();
+  std::string text = registry.ExportPrometheus();
   // Counters render as plain integers, no decimal point.
-  EXPECT_NE(text.find("b_total{region=\"0\"} 8\n"), std::string::npos);
-  EXPECT_NE(text.find("c_depth 3.5\n"), std::string::npos);
-  EXPECT_NE(text.find("a_latency_ms{quantile=\"0.5\"}"), std::string::npos);
-  EXPECT_NE(text.find("a_latency_ms{quantile=\"0.99\"}"), std::string::npos);
-  EXPECT_NE(text.find("a_latency_ms{quantile=\"0.999\"}"), std::string::npos);
+  EXPECT_NE(text.find("# TYPE b_total counter\nb_total{region=\"0\"} 8\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("# TYPE c_depth gauge\nc_depth 3.5\n"),
+            std::string::npos);
+  // Histograms render as cumulative buckets plus _sum and _count.
+  EXPECT_NE(text.find("# TYPE a_latency_ms histogram\n"), std::string::npos);
+  EXPECT_NE(text.find("a_latency_ms_bucket{le=\"5\"} 0\n"), std::string::npos);
+  EXPECT_NE(text.find("a_latency_ms_bucket{le=\"+Inf\"} 2\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("a_latency_ms_sum 30\n"), std::string::npos);
   EXPECT_NE(text.find("a_latency_ms_count 2\n"), std::string::npos);
   // Sorted by name: histogram block first, then counter, then gauge.
   EXPECT_LT(text.find("a_latency_ms"), text.find("b_total"));
   EXPECT_LT(text.find("b_total"), text.find("c_depth"));
-  // Quantile label composes with series labels, quantile last.
+  // The le label composes with series labels, le last.
   HistogramMetric labeled =
       registry.GetHistogram("d_ms", {{"server", "3"}});
   labeled.Add(1.0);
-  EXPECT_NE(registry.ExportText().find("d_ms{server=\"3\",quantile=\"0.5\"}"),
+  EXPECT_NE(registry.ExportPrometheus().find(
+                "d_ms_bucket{server=\"3\",le=\"1\"} 1\n"),
             std::string::npos);
 }
 
-TEST(MetricsRegistryTest, ExportTextIsStableAcrossCalls) {
+TEST(MetricsRegistryTest, ExportPrometheusIsStableAcrossCalls) {
   MetricsRegistry registry;
   Counter c = registry.GetCounter("z_total");
   c += 3;
   registry.GetGauge("a_gauge").Set(1.0);
-  EXPECT_EQ(registry.ExportText(), registry.ExportText());
+  EXPECT_EQ(registry.ExportPrometheus(), registry.ExportPrometheus());
+}
+
+TEST(MetricsRegistryTest, LabelValuesAreEscaped) {
+  MetricsRegistry registry;
+  registry.GetCounter("q_total", {{"pool", "a\\b\"c\nd"}}) += 1;
+  EXPECT_NE(registry.ExportPrometheus().find(
+                "q_total{pool=\"a\\\\b\\\"c\\nd\"} 1\n"),
+            std::string::npos)
+      << registry.ExportPrometheus();
+}
+
+TEST(MetricsRegistryTest, ValuesRenderExactly) {
+  MetricsRegistry registry;
+  registry.GetGauge("big_bytes").Set(123456789);
+  registry.GetGauge("third").Set(1.0 / 3.0);
+  registry.GetGauge("whole").Set(48);
+  const std::string text = registry.ExportPrometheus();
+  EXPECT_NE(text.find("big_bytes 123456789\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("whole 48\n"), std::string::npos) << text;
+  // The shortest form that parses back to the same double.
+  const size_t at = text.find("\nthird ");
+  ASSERT_NE(at, std::string::npos);
+  EXPECT_EQ(std::stod(text.substr(at + 7)), 1.0 / 3.0);
+}
+
+TEST(MetricsRegistryTest, CallbackSeriesReadAtScrapeAndRemovedWithHandle) {
+  MetricsRegistry registry;
+  int64_t depth = 2;
+  {
+    CallbackSeries gauge = registry.CallbackGauge(
+        "pool_depth", {{"server", "1"}},
+        [&depth] { return static_cast<double>(depth); });
+    CallbackSeries counter = registry.CallbackCounter(
+        "pool_steals_total", {}, [] { return 7.0; });
+    EXPECT_NE(registry.ExportPrometheus().find("pool_depth{server=\"1\"} 2\n"),
+              std::string::npos);
+    depth = 5;
+    const std::string text = registry.ExportPrometheus();
+    EXPECT_NE(text.find("# TYPE pool_depth gauge\npool_depth{server=\"1\"} 5\n"),
+              std::string::npos)
+        << text;
+    EXPECT_NE(
+        text.find("# TYPE pool_steals_total counter\npool_steals_total 7\n"),
+        std::string::npos)
+        << text;
+    // Moving the handle keeps the series.
+    CallbackSeries moved = std::move(gauge);
+    EXPECT_EQ(registry.num_series(), 2u);
+  }
+  EXPECT_EQ(registry.num_series(), 0u);
+  EXPECT_EQ(registry.ExportPrometheus(), "");
+}
+
+TEST(MetricsRegistryTest, CallbackSeriesTakeoverOutlivesOlderHandle) {
+  MetricsRegistry registry;
+  CallbackSeries older =
+      registry.CallbackGauge("entries", {}, [] { return 1.0; });
+  CallbackSeries newer = registry.CallbackGauge("entries", {}, [] { return 2.0; });
+  older.reset();  // no longer the owner: must not remove the series
+  EXPECT_NE(registry.ExportPrometheus().find("entries 2\n"), std::string::npos);
 }
 
 TEST(MetricsRegistryTest, ConcurrentIncrementsFromPoolWorkers) {

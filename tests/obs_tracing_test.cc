@@ -257,7 +257,9 @@ TEST(QueryTracingTest, MetricsExportCoversAllLayersAndIsStable) {
             std::string::npos);
   EXPECT_NE(text.find("scalewall_proxy_queries_total{result=\"succeeded\"} 1"),
             std::string::npos);
-  EXPECT_NE(text.find("scalewall_proxy_query_latency_ms{quantile=\"0.5\"}"),
+  EXPECT_NE(text.find("scalewall_proxy_query_latency_ms_bucket{le=\"+Inf\"} 1"),
+            std::string::npos);
+  EXPECT_NE(text.find("scalewall_proxy_query_latency_ms_count 1"),
             std::string::npos);
   EXPECT_NE(text.find("scalewall_sm_placements_total{region=\"0\"}"),
             std::string::npos);
