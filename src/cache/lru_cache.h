@@ -8,8 +8,8 @@
 // without bound — dashboards repeat a small working set of queries, so
 // LRU over a bytes budget is the natural policy.
 //
-// Thread-safe: ExecutePartialMany fans partition scans across the exec
-// pool, so lookups and inserts race from pool workers. A single mutex
+// Thread-safe: a scalewall_node server runs ExecutePartial on several
+// handler threads at once, so lookups and inserts race. A single mutex
 // is plenty — a hit copies the value out while holding it, which is
 // still orders of magnitude cheaper than the brick scan it replaces.
 

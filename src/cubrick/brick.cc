@@ -141,14 +141,6 @@ void Brick::EnsureUncompressed(std::atomic<int64_t>* decompressions) {
   }
 }
 
-void Brick::Scan(const TableSchema& schema, const Query& query,
-                 QueryResult& result, std::atomic<int64_t>* decompressions,
-                 const JoinContext* join) {
-  Touch();
-  ++result.bricks_scanned;
-  ScanRange(schema, query, result, decompressions, join, 0, num_rows_);
-}
-
 void Brick::ScanRange(const TableSchema& schema, const Query& query,
                       QueryResult& result,
                       std::atomic<int64_t>* decompressions,

@@ -78,20 +78,15 @@ class Brick {
   bool AppendOrMerge(const std::vector<uint32_t>& dims,
                      const std::vector<double>& metrics);
 
-  // Scans rows matching `filters` (all must pass), accumulating into
-  // `result`. Decompresses transparently if needed (recorded in
-  // `decompressions`). Bumps the hotness counter. `join` must align with
-  // query.joins when the query joins replicated tables (inner-join
-  // semantics: rows with unmatched keys are dropped).
-  void Scan(const TableSchema& schema, const Query& query,
-            QueryResult& result, std::atomic<int64_t>* decompressions,
-            const JoinContext* join = nullptr);
-
-  // Morsel scan: rows [row_begin, row_end) only, accumulating group
-  // states and rows_scanned into `result` (bricks_scanned and the
-  // hotness bump are the caller's business — a brick split into many
-  // morsels is still one brick scanned once). Safe to call concurrently
-  // with other ScanRange calls on the same brick: decompression is
+  // Interpreted (row-at-a-time) scan of rows [row_begin, row_end):
+  // accumulates the rows matching every filter into `result`'s group
+  // states and rows_scanned. Decompresses transparently if needed
+  // (recorded in `decompressions`). `join` must align with query.joins
+  // when the query joins replicated tables (inner-join semantics: rows
+  // with unmatched keys are dropped). bricks_scanned and the hotness
+  // bump are the caller's business — a brick split into many morsels
+  // is still one brick scanned once. Safe to call concurrently with
+  // other ScanRange calls on the same brick: decompression is
   // serialized behind a latch and the scan itself only reads.
   void ScanRange(const TableSchema& schema, const Query& query,
                  QueryResult& result, std::atomic<int64_t>* decompressions,

@@ -443,7 +443,6 @@ DistributedOutcome ExecuteDistributed(const ExecutionPlan& plan,
   // merge.
   base.fanin = fanin;
   base.cache_policy = ectx.cache_policy;
-  base.scan_path = ectx.scan_path;
   base.remaining_budget = deadline_budget;
   base.pool_path = ectx.pool_path;
   net::CallOptions call;

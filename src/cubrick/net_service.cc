@@ -121,8 +121,7 @@ Result<PartialResult> ExecuteLeaf(const ServerEndpoint& ep,
   return ep.server->ExecutePartial(
       envelope.query, partition, /*hop_budget=*/-1, cancel, rtrace.trace,
       rtrace.trace_time, envelope.cache_policy, given(envelope.fingerprint),
-      envelope.scan_path, envelope.dims.empty() ? nullptr : &snapshots,
-      given(envelope.pool_path));
+      envelope.dims.empty() ? nullptr : &snapshots, given(envelope.pool_path));
 }
 
 Result<net::Message> HandleSubquery(const ServerEndpoint& ep,
@@ -237,7 +236,6 @@ Result<net::Message> HandleCoordinate(cluster::ServerId server_id,
   ectx.cache_policy = envelope->cache_policy;
   ectx.fingerprint =
       envelope->fingerprint.empty() ? nullptr : &envelope->fingerprint;
-  ectx.scan_path = envelope->scan_path;
   ectx.pool_path = envelope->pool_path;
   ectx.cancel = sideband.cancel;
   DistributedOutcome outcome = ExecuteDistributed(plan, ectx);
@@ -339,7 +337,6 @@ Status FanOutChunks(net::Transport* transport,
     const auto fill = [&](auto& envelope) {
       envelope.query = base.query;
       envelope.cache_policy = base.cache_policy;
-      envelope.scan_path = base.scan_path;
       envelope.fingerprint = base.fingerprint;
       envelope.remaining_budget = base.remaining_budget;
       envelope.pool_path = base.pool_path;
@@ -446,14 +443,13 @@ Result<QueryResult> CallShuffleMap(net::Transport& transport,
 DistributedOutcome CallCoordinate(
     net::Transport& transport, cluster::ServerId coordinator,
     const Query& query, SimDuration remaining_budget,
-    cache::CachePolicy cache_policy, exec::ScanPath scan_path,
-    const std::string* fingerprint, SimTime dispatch_time, Rng& rng,
-    obs::TraceContext trace, JoinStrategy join_strategy, int merge_fanin,
-    const std::string* pool, const exec::CancelToken* cancel) {
+    cache::CachePolicy cache_policy, const std::string* fingerprint,
+    SimTime dispatch_time, Rng& rng, obs::TraceContext trace,
+    JoinStrategy join_strategy, int merge_fanin, const std::string* pool,
+    const exec::CancelToken* cancel) {
   wire::CoordinateEnvelope envelope;
   envelope.query = query;
   envelope.cache_policy = cache_policy;
-  envelope.scan_path = scan_path;
   if (fingerprint != nullptr) envelope.fingerprint = *fingerprint;
   envelope.remaining_budget = remaining_budget;
   envelope.dispatch_time = dispatch_time;

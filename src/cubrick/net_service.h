@@ -121,9 +121,8 @@ Result<QueryResult> CallShuffleMap(net::Transport& transport,
 DistributedOutcome CallCoordinate(
     net::Transport& transport, cluster::ServerId coordinator,
     const Query& query, SimDuration remaining_budget,
-    cache::CachePolicy cache_policy, exec::ScanPath scan_path,
-    const std::string* fingerprint, SimTime dispatch_time, Rng& rng,
-    obs::TraceContext trace,
+    cache::CachePolicy cache_policy, const std::string* fingerprint,
+    SimTime dispatch_time, Rng& rng, obs::TraceContext trace,
     JoinStrategy join_strategy = JoinStrategy::kAuto, int merge_fanin = 0,
     const std::string* pool = nullptr,
     const exec::CancelToken* cancel = nullptr);

@@ -99,6 +99,128 @@ void BrickSpan(const obs::TraceContext& trace, SimTime time,
   span.End(time);
 }
 
+// A scan kernel evaluates one query over row ranges of bricks: `Open`
+// starts an accumulator on a QueryResult, `Scan` feeds it a row range
+// and `Close` folds it into the result. `Skip` may prove that a brick
+// holds no matching row; the brick then counts as scanned, rows and
+// all, without being decompressed. The two drivers below run either
+// kernel, so the serial and the morsel-parallel fold orders exist once.
+
+// Vectorized kernel: the compiled plan, batch-at-a-time ScanRangeVec
+// and the RLE prefilter on compressed bricks.
+struct VecKernel {
+  VecScanPlan plan;
+  std::atomic<int64_t>* decompressions;
+
+  VecExecState Open(QueryResult&) const { return VecExecState(plan); }
+  void Scan(VecExecState& state, Brick& brick, size_t begin,
+            size_t end) const {
+    brick.ScanRangeVec(plan, state, decompressions, begin, end);
+  }
+  static void Close(const VecExecState& state, QueryResult& out) {
+    state.Flush(out);
+  }
+  bool Skip(Brick& brick, QueryResult& result) const {
+    if (!brick.CanSkipCompressed(plan)) return false;
+    result.rows_scanned += static_cast<int64_t>(brick.num_rows());
+    ++result.bricks_rle_skipped;
+    return true;
+  }
+};
+
+// Interpreted kernel, the row-at-a-time oracle: accumulates straight
+// into the result it was opened on and never skips a brick.
+struct InterpretedKernel {
+  const TableSchema& schema;
+  const Query& query;
+  const JoinContext* join;
+  std::atomic<int64_t>* decompressions;
+
+  static QueryResult* Open(QueryResult& out) { return &out; }
+  void Scan(QueryResult* out, Brick& brick, size_t begin, size_t end) const {
+    brick.ScanRange(schema, query, *out, decompressions, join, begin, end);
+  }
+  static void Close(QueryResult*, QueryResult&) {}
+  static bool Skip(Brick&, QueryResult&) { return false; }
+};
+
+// Serial scan: ONE accumulator takes every brick in brick-id order and
+// is closed once (also on cancel, keeping the completed bricks), so
+// each group's aggregation state receives the same Add() sequence
+// under either kernel — byte-identical results, float effects included.
+template <typename Kernel>
+Status ScanSerial(const Kernel& kernel, const std::vector<Brick*>& bricks,
+                  QueryResult& result, const exec::ExecOptions& exec,
+                  const TablePartition& part) {
+  auto acc = kernel.Open(result);
+  for (size_t i = 0; i < bricks.size(); ++i) {
+    if (exec.cancel != nullptr && exec.cancel->cancelled()) {
+      if (exec.morsel_metrics != nullptr) {
+        exec.morsel_metrics->skipped +=
+            static_cast<int64_t>(bricks.size() - i);
+      }
+      Kernel::Close(acc, result);
+      return Status::Cancelled("partition scan cancelled: " + part.table() +
+                               "/" + std::to_string(part.partition()));
+    }
+    Brick& brick = *bricks[i];
+    BrickSpan(exec.trace, exec.trace_time, brick);
+    brick.Touch();
+    ++result.bricks_scanned;
+    if (!kernel.Skip(brick, result)) {
+      kernel.Scan(acc, brick, 0, brick.num_rows());
+    }
+    if (exec.morsel_metrics != nullptr) ++exec.morsel_metrics->executed;
+  }
+  Kernel::Close(acc, result);
+  return Status::Ok();
+}
+
+// Morsel-driven parallel scan. The decomposition (unskipped bricks in
+// brick-id order, each split at fixed morsel_rows boundaries) and the
+// merge order are functions of the data and the query only: each
+// morsel closes its own accumulator into its own partial, and the
+// partials are merged in (brick, range) order, so the combined result
+// is identical for any worker count and any scheduling — see
+// DESIGN.md § Execution subsystem.
+template <typename Kernel>
+Status ScanParallel(const Kernel& kernel, const std::vector<Brick*>& survivors,
+                    QueryResult& result, const exec::ExecOptions& exec,
+                    size_t num_aggregations) {
+  std::vector<Brick*> bricks;
+  std::vector<size_t> brick_rows;
+  for (Brick* brick : survivors) {
+    brick->Touch();  // once per brick per execution, never per morsel
+    if (kernel.Skip(*brick, result)) continue;  // spawns no morsels
+    bricks.push_back(brick);
+    brick_rows.push_back(brick->num_rows());
+  }
+  const std::vector<exec::MorselRange> morsels =
+      exec::SplitMorsels(brick_rows, exec.morsel_rows);
+  std::vector<QueryResult> partials(morsels.size(),
+                                    QueryResult(num_aggregations));
+  SCALEWALL_RETURN_IF_ERROR(exec::ForEachMorsel(
+      exec.pool, exec.num_workers, morsels.size(),
+      [&](size_t i) {
+        const exec::MorselRange& m = morsels[i];
+        // Morsel spans are recorded from pool workers concurrently; the
+        // sink serializes writes and exports canonicalize the order, so
+        // the trace stays byte-stable regardless of scheduling.
+        obs::TraceContext mspan =
+            exec.trace.Child("morsel " + std::to_string(i), exec.trace_time);
+        mspan.Annotate("brick", std::to_string(bricks[m.item]->id()));
+        mspan.Annotate("rows", std::to_string(m.end - m.begin));
+        mspan.End(exec.trace_time);
+        auto acc = kernel.Open(partials[i]);
+        kernel.Scan(acc, *bricks[m.item], m.begin, m.end);
+        Kernel::Close(acc, partials[i]);
+      },
+      exec.cancel, exec.morsel_metrics, exec.sched_pool));
+  for (const QueryResult& partial : partials) result.Merge(partial);
+  result.bricks_scanned += static_cast<int64_t>(survivors.size());
+  return Status::Ok();
+}
+
 }  // namespace
 
 Status TablePartition::Insert(const Row& row) {
@@ -162,156 +284,20 @@ Status TablePartition::Execute(const Query& query, QueryResult& result,
     survivors.push_back(&brick);
   }
 
-  const exec::CancelToken* cancel =
-      exec != nullptr ? exec->cancel : nullptr;
-  const obs::TraceContext trace =
-      exec != nullptr ? exec->trace : obs::TraceContext{};
-  const SimTime trace_time = exec != nullptr ? exec->trace_time : 0;
-  exec::MorselMetrics* metrics =
-      exec != nullptr ? exec->morsel_metrics : nullptr;
-  const bool parallel = exec != nullptr && exec->pool != nullptr &&
-                        exec->num_workers > 1 && !survivors.empty();
-  const bool vectorized =
-      exec == nullptr || exec->scan_path == exec::ScanPath::kVectorized;
-  if (!parallel) {
-    if (vectorized) {
-      // Vectorized serial scan: ONE state accumulates across all bricks
-      // (flushed once at the end), so every group's aggregation state
-      // receives exactly the Add() sequence the interpreted serial loop
-      // would issue — byte-identical results, including float effects.
-      const VecScanPlan plan = BuildVecScanPlan(schema_, query, join);
-      VecExecState vstate(plan);
-      for (size_t i = 0; i < survivors.size(); ++i) {
-        if (cancel != nullptr && cancel->cancelled()) {
-          if (metrics != nullptr) {
-            metrics->skipped += static_cast<int64_t>(survivors.size() - i);
-          }
-          vstate.Flush(result);  // completed bricks, like the interpreter
-          return Status::Cancelled("partition scan cancelled: " + table_ +
-                                   "/" + std::to_string(partition_));
-        }
-        Brick* brick = survivors[i];
-        BrickSpan(trace, trace_time, *brick);
-        brick->Touch();
-        ++result.bricks_scanned;
-        if (brick->CanSkipCompressed(plan)) {
-          // RLE prefilter: the compressed runs prove no row matches.
-          // Skip the brick *without decompressing it*; scan accounting
-          // (hotness, bricks/rows scanned) stays identical to a scan.
-          result.rows_scanned += static_cast<int64_t>(brick->num_rows());
-          ++result.bricks_rle_skipped;
-        } else {
-          brick->ScanRangeVec(plan, vstate, &decompressions_, 0,
-                              brick->num_rows());
-        }
-        if (metrics != nullptr) ++metrics->executed;
-      }
-      vstate.Flush(result);
-      return Status::Ok();
-    }
-    for (size_t i = 0; i < survivors.size(); ++i) {
-      if (cancel != nullptr && cancel->cancelled()) {
-        if (metrics != nullptr) {
-          metrics->skipped += static_cast<int64_t>(survivors.size() - i);
-        }
-        return Status::Cancelled("partition scan cancelled: " + table_ +
-                                 "/" + std::to_string(partition_));
-      }
-      Brick* brick = survivors[i];
-      BrickSpan(trace, trace_time, *brick);
-      brick->Scan(schema_, query, result, &decompressions_, join);
-      if (metrics != nullptr) ++metrics->executed;
-    }
-    return Status::Ok();
+  static const exec::ExecOptions kSerial;
+  const exec::ExecOptions& opts = exec != nullptr ? *exec : kSerial;
+  const bool parallel =
+      opts.pool != nullptr && opts.num_workers > 1 && !survivors.empty();
+  const auto run = [&](const auto& kernel) {
+    return parallel ? ScanParallel(kernel, survivors, result, opts,
+                                   query.aggregations.size())
+                    : ScanSerial(kernel, survivors, result, opts, *this);
+  };
+  if (opts.scan_path == exec::ScanPath::kInterpreted) {
+    return run(InterpretedKernel{schema_, query, join, &decompressions_});
   }
-
-  // Morsel-driven parallel scan. The decomposition (survivor bricks in
-  // brick-id order, each split at fixed morsel_rows boundaries) and the
-  // merge order below are functions of the data and the query only, so
-  // the combined result is identical for any worker count and any
-  // scheduling — see DESIGN.md § Execution subsystem.
-  //
-  // One hotness bump per brick per execution, exactly like the serial
-  // path — never one per morsel.
-  for (Brick* brick : survivors) brick->Touch();
-  if (vectorized) {
-    const VecScanPlan plan = BuildVecScanPlan(schema_, query, join);
-    // RLE prefilter before the morsel split: bricks whose compressed
-    // runs prove no row matches are accounted as scanned but never
-    // decompressed and spawn no morsels. The decomposition is still a
-    // pure function of data + query, so determinism is preserved.
-    std::vector<Brick*> scan_bricks;
-    scan_bricks.reserve(survivors.size());
-    for (Brick* brick : survivors) {
-      if (brick->CanSkipCompressed(plan)) {
-        result.rows_scanned += static_cast<int64_t>(brick->num_rows());
-        ++result.bricks_rle_skipped;
-      } else {
-        scan_bricks.push_back(brick);
-      }
-    }
-    std::vector<size_t> brick_rows(scan_bricks.size());
-    for (size_t i = 0; i < scan_bricks.size(); ++i) {
-      brick_rows[i] = scan_bricks[i]->num_rows();
-    }
-    const std::vector<exec::MorselRange> morsels =
-        exec::SplitMorsels(brick_rows, exec->morsel_rows);
-    std::vector<QueryResult> partials(
-        morsels.size(), QueryResult(query.aggregations.size()));
-    SCALEWALL_RETURN_IF_ERROR(exec::ForEachMorsel(
-        exec->pool, exec->num_workers, morsels.size(),
-        [&](size_t i) {
-          const exec::MorselRange& m = morsels[i];
-          obs::TraceContext mspan =
-              trace.Child("morsel " + std::to_string(i), trace_time);
-          mspan.Annotate("brick", std::to_string(scan_bricks[m.item]->id()));
-          mspan.Annotate("rows", std::to_string(m.end - m.begin));
-          mspan.End(trace_time);
-          // Per-morsel state, flushed into this morsel's partial: the
-          // partial holds exactly what the interpreted ScanRange would
-          // have accumulated, and the fixed-order merge below does the
-          // rest.
-          VecExecState vstate(plan);
-          scan_bricks[m.item]->ScanRangeVec(plan, vstate, &decompressions_,
-                                            m.begin, m.end);
-          vstate.Flush(partials[i]);
-        },
-        cancel, metrics, exec->sched_pool));
-    for (const QueryResult& partial : partials) {
-      result.Merge(partial);
-    }
-    result.bricks_scanned += static_cast<int64_t>(survivors.size());
-    return Status::Ok();
-  }
-  std::vector<size_t> brick_rows(survivors.size());
-  for (size_t i = 0; i < survivors.size(); ++i) {
-    brick_rows[i] = survivors[i]->num_rows();
-  }
-  const std::vector<exec::MorselRange> morsels =
-      exec::SplitMorsels(brick_rows, exec->morsel_rows);
-  std::vector<QueryResult> partials(morsels.size(),
-                                    QueryResult(query.aggregations.size()));
-  SCALEWALL_RETURN_IF_ERROR(exec::ForEachMorsel(
-      exec->pool, exec->num_workers, morsels.size(),
-      [&](size_t i) {
-        const exec::MorselRange& m = morsels[i];
-        // Morsel spans are recorded from pool workers concurrently; the
-        // sink serializes writes and exports canonicalize the order, so
-        // the trace stays byte-stable regardless of scheduling.
-        obs::TraceContext mspan =
-            trace.Child("morsel " + std::to_string(i), trace_time);
-        mspan.Annotate("brick", std::to_string(survivors[m.item]->id()));
-        mspan.Annotate("rows", std::to_string(m.end - m.begin));
-        mspan.End(trace_time);
-        survivors[m.item]->ScanRange(schema_, query, partials[i],
-                                     &decompressions_, join, m.begin, m.end);
-      },
-      cancel, metrics, exec->sched_pool));
-  for (const QueryResult& partial : partials) {
-    result.Merge(partial);
-  }
-  result.bricks_scanned += static_cast<int64_t>(survivors.size());
-  return Status::Ok();
+  return run(VecKernel{BuildVecScanPlan(schema_, query, join),
+                       &decompressions_});
 }
 
 std::vector<Row> TablePartition::ExportRows() const {

@@ -51,7 +51,6 @@
 #include "cubrick/query.h"
 #include "cubrick/replicated_table.h"
 #include "exec/cancel.h"
-#include "exec/scan_path.h"
 #include "obs/trace.h"
 
 namespace scalewall::cubrick {
@@ -144,7 +143,6 @@ struct ExecContext {
   SimTime dispatch_time = -1;  // -1 = the simulation's current time
   cache::CachePolicy cache_policy = cache::CachePolicy::kDefault;
   const std::string* fingerprint = nullptr;  // precomputed, optional
-  exec::ScanPath scan_path = exec::ScanPath::kVectorized;
   // Normalized pool path of the admitted ResourceClaim: rides every
   // subquery so servers charge scan work to the owning pool ("" = the
   // claim never passed admission; servers charge the default pool).

@@ -661,7 +661,7 @@ QueryOutcome CubrickProxy::SubmitInternal(const QueryRequest& request,
     // envelope — the coordinator plans for itself.
     DistributedOutcome attempt = CallCoordinate(
         *ctx->transport, *coordinator, query, remaining, request.cache_policy,
-        request.scan_path, fingerprint.empty() ? nullptr : &fingerprint,
+        fingerprint.empty() ? nullptr : &fingerprint,
         attempt_start + attempt_latency, rng_, aspan, request.join_strategy,
         request.merge_fanin, &claim_pool, cancel);
     switch (attempt.strategy) {

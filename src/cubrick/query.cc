@@ -53,6 +53,10 @@ Status Query::Validate(const TableSchema& schema) const {
     return Status::InvalidArgument("query needs at least one aggregation");
   }
   for (const Aggregation& a : aggregations) {
+    if (a.op < AggOp::kSum || a.op > AggOp::kAvg) {
+      return Status::InvalidArgument(
+          "unknown aggregation op " + std::to_string(static_cast<int>(a.op)));
+    }
     if (a.op != AggOp::kCount &&
         (a.metric < 0 || a.metric >= num_metrics)) {
       return Status::InvalidArgument("aggregation on unknown metric index " +

@@ -27,7 +27,6 @@
 #include "common/time.h"
 #include "cubrick/planner.h"
 #include "cubrick/query.h"
-#include "exec/scan_path.h"
 
 namespace scalewall::cubrick {
 
@@ -67,11 +66,6 @@ struct QueryRequest {
   // the pool tree, the exec layer weights scan tasks by pool, and
   // traces/metrics/profiles are keyed by the pool path end to end.
   ResourceClaim claim;
-  // Brick-scan implementation for this submission. kInterpreted runs the
-  // row-at-a-time oracle; results are byte-identical to the vectorized
-  // default, so this only matters for differential testing (pair it with
-  // CachePolicy::kBypass so the oracle actually scans).
-  exec::ScanPath scan_path = exec::ScanPath::kVectorized;
   // Opt-in per-query profile: where this query's time and work went
   // (obs::QueryProfile), derived from the stitched span tree. Implies
   // nothing about `tracing` for other queries; this submission records

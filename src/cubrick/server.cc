@@ -405,8 +405,8 @@ Result<PartialResult> CubrickServer::ExecutePartial(
     const Query& query, uint32_t partition, int hop_budget,
     const exec::CancelToken* cancel, obs::TraceContext trace,
     SimTime trace_time, cache::CachePolicy cache_policy,
-    const std::string* fingerprint, exec::ScanPath scan_path,
-    const JoinContext* dims_override, const std::string* pool) {
+    const std::string* fingerprint, const JoinContext* dims_override,
+    const std::string* pool) {
   if (hop_budget < 0) hop_budget = options_.max_forward_hops;
   if (trace.active() && trace_time < 0) trace_time = Now();
   auto shard = catalog_->ShardForPartition(query.table, partition);
@@ -427,8 +427,8 @@ Result<PartialResult> CubrickServer::ExecutePartial(
       auto forwarded = target->ExecutePartial(query, partition,
                                               hop_budget - 1, cancel, fspan,
                                               trace_time, cache_policy,
-                                              fingerprint, scan_path,
-                                              dims_override, pool);
+                                              fingerprint, dims_override,
+                                              pool);
       fspan.End(trace_time);
       if (!forwarded.ok()) return forwarded;
       forwarded->forward_hops += 1;
@@ -559,7 +559,7 @@ Result<PartialResult> CubrickServer::ExecutePartial(
   exec_options.trace = pspan;
   exec_options.trace_time = trace_time;
   exec_options.morsel_metrics = &morsel_metrics;
-  exec_options.scan_path = scan_path;
+  exec_options.scan_path = scan_path_;
   const auto scan_start = std::chrono::steady_clock::now();
   Status scan_status =
       it->second.Execute(query, partial.result,
@@ -603,60 +603,6 @@ Result<PartialResult> CubrickServer::ExecutePartial(
         ApproxResultBytes(partial.result) + cache_key.first.size());
   }
   return partial;
-}
-
-Result<std::vector<PartialResult>> CubrickServer::ExecutePartialMany(
-    const Query& query, const std::vector<uint32_t>& partitions,
-    const exec::CancelToken* cancel, obs::TraceContext trace,
-    SimTime trace_time, cache::CachePolicy cache_policy,
-    exec::ScanPath scan_path, const std::string* pool) {
-  if (trace.active() && trace_time < 0) trace_time = Now();
-  // Canonicalize the fingerprint once for the whole fan-out; each
-  // per-partition task keys the cache with it directly.
-  std::string fp;
-  const std::string* fpp = nullptr;
-  if (result_cache_ != nullptr &&
-      cache_policy != cache::CachePolicy::kBypass) {
-    fp = CanonicalQueryFingerprint(query);
-    fpp = &fp;
-  }
-  std::vector<PartialResult> results(partitions.size());
-  if (exec_pool_ == nullptr || partitions.size() <= 1) {
-    for (size_t i = 0; i < partitions.size(); ++i) {
-      auto partial = ExecutePartial(query, partitions[i], -1, cancel, trace,
-                                    trace_time, cache_policy, fpp, scan_path,
-                                    nullptr, pool);
-      if (!partial.ok()) return partial.status();
-      results[i] = std::move(*partial);
-    }
-    return results;
-  }
-  // The per-partition fan-out tasks carry the claim's scheduling-pool
-  // tag too, so the stride scheduler arbitrates whole partials — not
-  // just their inner morsels — between pools.
-  const int sched_pool = ExecPoolIdFor(pool);
-  std::vector<Status> statuses(partitions.size(), Status::Ok());
-  exec::TaskGroup group(exec_pool_.get());
-  for (size_t i = 0; i < partitions.size(); ++i) {
-    group.Run(
-        [this, &query, &partitions, &results, &statuses, cancel, trace,
-         trace_time, cache_policy, fpp, scan_path, pool, i] {
-          auto partial = ExecutePartial(query, partitions[i], -1, cancel,
-                                        trace, trace_time, cache_policy, fpp,
-                                        scan_path, nullptr, pool);
-          if (partial.ok()) {
-            results[i] = std::move(*partial);
-          } else {
-            statuses[i] = partial.status();
-          }
-        },
-        sched_pool);
-  }
-  group.Wait();
-  for (const Status& status : statuses) {
-    SCALEWALL_RETURN_IF_ERROR(status);
-  }
-  return results;
 }
 
 SimTime CubrickServer::Now() const {

@@ -242,9 +242,6 @@ class CubrickServer : public sm::AppServer {
   // it once. The lookup is cancel-safe: a cancelled token short-circuits
   // to kCancelled before a hit is served, and a scan that raced a
   // cancellation never populates the cache.
-  // `scan_path` selects the brick-scan implementation (vectorized
-  // kernels by default; kInterpreted runs the row-at-a-time oracle —
-  // differential tests pair it with CachePolicy::kBypass).
   // `dims_override` (optional) backs the query's joins with the given
   // tables instead of this server's resident replicas — the broadcast
   // join strategy ships dim snapshots with the subquery and passes the
@@ -259,25 +256,16 @@ class CubrickServer : public sm::AppServer {
       obs::TraceContext trace = {}, SimTime trace_time = -1,
       cache::CachePolicy cache_policy = cache::CachePolicy::kDefault,
       const std::string* fingerprint = nullptr,
-      exec::ScanPath scan_path = exec::ScanPath::kVectorized,
       const JoinContext* dims_override = nullptr,
       const std::string* pool = nullptr);
 
-  // Executes partials for several partitions of one query (the shards
-  // this host owns), fanning the per-partition scans across the exec
-  // pool — each partition task then splits its bricks into morsels on
-  // the same pool (nested task groups; the work-stealing deques keep
-  // every worker busy either way). Results are returned in the order of
-  // `partitions`; the first failure in that order wins. Falls back to a
-  // sequential loop when no pool is configured. `pool` tags the
-  // partition tasks like ExecutePartial's.
-  Result<std::vector<PartialResult>> ExecutePartialMany(
-      const Query& query, const std::vector<uint32_t>& partitions,
-      const exec::CancelToken* cancel = nullptr,
-      obs::TraceContext trace = {}, SimTime trace_time = -1,
-      cache::CachePolicy cache_policy = cache::CachePolicy::kDefault,
-      exec::ScanPath scan_path = exec::ScanPath::kVectorized,
-      const std::string* pool = nullptr);
+  // The differential-test hook: every later ExecutePartial on this
+  // server scans with `path` (kInterpreted runs the row-at-a-time
+  // oracle, whose results are byte-identical to the vectorized
+  // default; pair it with CachePolicy::kBypass so the oracle really
+  // scans). Not synchronized with scans: call it only while no query
+  // runs on this server. No node calls it.
+  void SetScanPathForTesting(exec::ScanPath path) { scan_path_ = path; }
 
   // Current freshness epoch of one hosted partition, following
   // forwarding like ExecutePartial (0 = owned but never materialized).
@@ -439,15 +427,18 @@ class CubrickServer : public sm::AppServer {
   std::unique_ptr<exec::ThreadPool> exec_pool_;
   // Admission fair-share tree for scan-time charge-back (null = none).
   admit::FairShareTree* pool_tree_ = nullptr;
+  // Brick-scan kernel of every partial (SetScanPathForTesting).
+  exec::ScanPath scan_path_ = exec::ScanPath::kVectorized;
   // Fair-share pool path -> exec scheduling-pool id (lazily registered).
   // Guarded by scan_stats_mu_ (same contention profile: per partial).
   std::map<std::string, int> exec_pool_ids_;
   // Partial-result cache (null when result_cache_bytes == 0). Its own
-  // mutex makes it safe under ExecutePartialMany's pool-worker fan-out.
+  // mutex makes it safe under concurrent ExecutePartial calls (a
+  // scalewall_node server runs several handler threads).
   std::unique_ptr<PartialResultCache> result_cache_;
   // Measured scan time per hosted partition (exported per shard through
-  // ShardLoad("scan_micros")). Guarded: partition tasks report
-  // concurrently.
+  // ShardLoad("scan_micros")). Guarded: concurrent ExecutePartial
+  // calls report into it.
   mutable std::mutex scan_stats_mu_;
   std::map<PartitionRef, int64_t> partition_scan_micros_;
   // Virtual scan queue (virtual_scan_slots > 0): busy-until times of

@@ -280,7 +280,6 @@ std::string EncodeSubqueryRequest(const SubqueryEnvelope& envelope) {
   EncodeQuery(w, query);
   w.U32(envelope.partition);
   w.U8(static_cast<uint8_t>(envelope.cache_policy));
-  w.U8(static_cast<uint8_t>(envelope.scan_path));
   w.Str(envelope.fingerprint);
   w.I64(envelope.remaining_budget);
   w.Str(envelope.pool_path);
@@ -299,8 +298,7 @@ Result<SubqueryEnvelope> DecodeSubqueryRequest(std::string_view payload) {
   if (!query.ok()) return query.status();
   envelope.query = std::move(query).value();
   envelope.partition = r.U32();
-  envelope.cache_policy = static_cast<cache::CachePolicy>(r.U8());
-  envelope.scan_path = static_cast<exec::ScanPath>(r.U8());
+  envelope.cache_policy = r.Enum8(cache::CachePolicy::kAllowStale);
   envelope.fingerprint = r.Str();
   envelope.remaining_budget = r.I64();
   envelope.pool_path = r.Str();
@@ -353,7 +351,6 @@ std::string EncodeTreeMergeRequest(const TreeMergeEnvelope& envelope) {
   w.U32Vec(envelope.servers);
   w.I32(envelope.fanin);
   w.U8(static_cast<uint8_t>(envelope.cache_policy));
-  w.U8(static_cast<uint8_t>(envelope.scan_path));
   w.Str(envelope.fingerprint);
   w.I64(envelope.remaining_budget);
   w.Str(envelope.pool_path);
@@ -374,8 +371,7 @@ Result<TreeMergeEnvelope> DecodeTreeMergeRequest(std::string_view payload) {
   envelope.partitions = r.U32Vec();
   envelope.servers = r.U32Vec();
   envelope.fanin = r.I32();
-  envelope.cache_policy = static_cast<cache::CachePolicy>(r.U8());
-  envelope.scan_path = static_cast<exec::ScanPath>(r.U8());
+  envelope.cache_policy = r.Enum8(cache::CachePolicy::kAllowStale);
   envelope.fingerprint = r.Str();
   envelope.remaining_budget = r.I64();
   envelope.pool_path = r.Str();
@@ -471,7 +467,6 @@ std::string EncodeCoordinateRequest(const CoordinateEnvelope& envelope) {
   query.deadline = 0;  // remaining budget travels instead
   EncodeQuery(w, query);
   w.U8(static_cast<uint8_t>(envelope.cache_policy));
-  w.U8(static_cast<uint8_t>(envelope.scan_path));
   w.Str(envelope.fingerprint);
   w.I64(envelope.remaining_budget);
   w.I64(envelope.dispatch_time);
@@ -488,12 +483,11 @@ Result<CoordinateEnvelope> DecodeCoordinateRequest(std::string_view payload) {
   auto query = DecodeQuery(r);
   if (!query.ok()) return query.status();
   envelope.query = std::move(query).value();
-  envelope.cache_policy = static_cast<cache::CachePolicy>(r.U8());
-  envelope.scan_path = static_cast<exec::ScanPath>(r.U8());
+  envelope.cache_policy = r.Enum8(cache::CachePolicy::kAllowStale);
   envelope.fingerprint = r.Str();
   envelope.remaining_budget = r.I64();
   envelope.dispatch_time = r.I64();
-  envelope.join_strategy = static_cast<JoinStrategy>(r.U8());
+  envelope.join_strategy = r.Enum8(JoinStrategy::kShuffle);
   envelope.merge_fanin = r.I32();
   envelope.pool_path = r.Str();
   envelope.telemetry = r.Str();
@@ -534,7 +528,7 @@ Result<DistributedOutcome> DecodeCoordinateResponse(std::string_view payload,
   outcome.num_partitions = r.U32();
   outcome.partition_epochs = r.U64Vec();
   outcome.dim_epochs = r.U64Vec();
-  outcome.strategy = static_cast<JoinStrategy>(r.U8());
+  outcome.strategy = r.Enum8(JoinStrategy::kShuffle);
   outcome.merge_fanin = r.I32();
   outcome.tree_depth = r.I32();
   outcome.failed_server = r.U32();
@@ -595,7 +589,6 @@ std::string EncodeClientQuery(const QueryRequest& request) {
   w.Str(request.claim.pool_path);
   w.U8(static_cast<uint8_t>(request.claim.priority));
   w.F64(request.claim.weight_hint);
-  w.U8(static_cast<uint8_t>(request.scan_path));
   w.Bool(request.profile);
   w.U8(static_cast<uint8_t>(request.join_strategy));
   w.I32(request.merge_fanin);
@@ -611,13 +604,12 @@ Result<QueryRequest> DecodeClientQuery(std::string_view payload) {
   request.preferred_region = r.U16();
   request.deadline = r.I64();
   request.tracing = r.Bool();
-  request.cache_policy = static_cast<cache::CachePolicy>(r.U8());
+  request.cache_policy = r.Enum8(cache::CachePolicy::kAllowStale);
   request.claim.pool_path = r.Str();
-  request.claim.priority = static_cast<admit::Priority>(r.U8());
+  request.claim.priority = r.Enum8(admit::Priority::kBestEffort);
   request.claim.weight_hint = r.F64();
-  request.scan_path = static_cast<exec::ScanPath>(r.U8());
   request.profile = r.Bool();
-  request.join_strategy = static_cast<JoinStrategy>(r.U8());
+  request.join_strategy = r.Enum8(JoinStrategy::kShuffle);
   request.merge_fanin = r.I32();
   SCALEWALL_RETURN_IF_ERROR(CheckExhausted(r, "client query"));
   return request;

@@ -70,7 +70,6 @@ struct SubqueryEnvelope {
   Query query;
   uint32_t partition = 0;
   cache::CachePolicy cache_policy = cache::CachePolicy::kDefault;
-  exec::ScanPath scan_path = exec::ScanPath::kVectorized;
   std::string fingerprint;  // "" = none precomputed
   SimDuration remaining_budget = 0;
   // Normalized pool path of the admitted claim ("" = unclaimed): the
@@ -109,7 +108,6 @@ struct TreeMergeEnvelope {
   std::vector<uint32_t> servers;          // resolved host per partition
   int fanin = 2;                          // k of the k-ary tree
   cache::CachePolicy cache_policy = cache::CachePolicy::kDefault;
-  exec::ScanPath scan_path = exec::ScanPath::kVectorized;
   std::string fingerprint;  // "" = none precomputed
   SimDuration remaining_budget = 0;
   // Normalized pool path of the admitted claim, forwarded to every leaf
@@ -161,7 +159,6 @@ Result<QueryResult> DecodeShuffleMapResponse(std::string_view payload,
 struct CoordinateEnvelope {
   Query query;
   cache::CachePolicy cache_policy = cache::CachePolicy::kDefault;
-  exec::ScanPath scan_path = exec::ScanPath::kVectorized;
   std::string fingerprint;
   SimDuration remaining_budget = 0;  // micros left, 0 = unlimited
   SimTime dispatch_time = -1;        // sim-time anchor for spans

@@ -3,9 +3,8 @@
 // The vectorized path (selection-vector kernels, src/vec) is the default
 // for every query; the interpreted row-at-a-time path is kept as the
 // correctness oracle — differential tests re-run queries on it (with the
-// result cache bypassed) and demand byte-identical results. Selectable
-// per request so an oracle run never requires rebuilding or
-// reconfiguring the server.
+// result cache bypassed) and demand byte-identical results. It is
+// picked per server, by tests only, and never travels on the wire.
 
 #ifndef SCALEWALL_EXEC_SCAN_PATH_H_
 #define SCALEWALL_EXEC_SCAN_PATH_H_

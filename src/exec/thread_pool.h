@@ -21,11 +21,11 @@
 // the scan-time charge-back to admit::FairShareTree.
 //
 // TaskGroup is the structured-concurrency barrier used by the morsel
-// driver and by CubrickServer's partition fan-out: Run() schedules a
-// task, Wait() blocks until every task of the group finished. Wait()
-// *helps*: while the group is open it keeps executing pool tasks on the
-// calling thread, so nested groups (a partition task whose brick scan
-// opens its own group) cannot deadlock even on a pool of one worker.
+// driver: Run() schedules a task, Wait() blocks until every task of the
+// group finished. Wait() *helps*: while the group is open it keeps
+// executing pool tasks on the calling thread, so nested groups (a task
+// that opens its own group) cannot deadlock even on a pool of one
+// worker.
 
 #ifndef SCALEWALL_EXEC_THREAD_POOL_H_
 #define SCALEWALL_EXEC_THREAD_POOL_H_

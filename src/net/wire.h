@@ -49,7 +49,9 @@ namespace scalewall::net {
 // coordinate/subquery/tree-merge envelopes gained a pool_path field.
 // v4: query results travel column-wise (arity once, the key column,
 // then one column per AggState field).
-inline constexpr uint8_t kWireVersion = 4;
+// v5: the scan-path byte left the client-query payload and the
+// coordinate/subquery/tree-merge envelopes.
+inline constexpr uint8_t kWireVersion = 5;
 
 // Hard cap on one frame's payload. Large enough for any merged result
 // the coordinator ships today; small enough that a garbage length
@@ -162,6 +164,14 @@ class WireReader {
   int32_t I32() { return static_cast<int32_t>(ReadLe<uint32_t>()); }
   int64_t I64() { return static_cast<int64_t>(ReadLe<uint64_t>()); }
   bool Bool() { return U8() != 0; }
+  // A one-byte enum whose values run 0..`last`: a larger byte poisons
+  // the reader like a truncation, so an unnamed value never decodes.
+  template <typename Enum>
+  Enum Enum8(Enum last) {
+    const uint8_t v = U8();
+    if (v > static_cast<uint8_t>(last)) ok_ = false;
+    return ok_ ? static_cast<Enum>(v) : Enum{};
+  }
   double F64() {
     uint64_t bits = U64();
     double v;

@@ -240,7 +240,6 @@ Result<net::Message> ProxyCore::Handle(const net::Message& request) {
   }
   base.fanin = tree ? fanin : 1;
   base.cache_policy = query_request.cache_policy;
-  base.scan_path = query_request.scan_path;
   base.remaining_budget = budget;
   if (strategy == cubrick::JoinStrategy::kBroadcast) {
     base.dims.assign(query.joins.size(), BuildDimTable());

@@ -47,6 +47,15 @@ bool SameResult(const cubrick::QueryResult& a, const cubrick::QueryResult& b) {
   return true;
 }
 
+// Switches every server of `dep` to the `path` brick-scan kernel.
+void SetScanPath(Deployment& dep, exec::ScanPath path) {
+  for (cluster::ServerId id : dep.cluster().AllServers()) {
+    if (cubrick::CubrickServer* server = dep.Lookup(id)) {
+      server->SetScanPathForTesting(path);
+    }
+  }
+}
+
 void RunChaos(uint64_t seed, bool caching) {
   DeploymentOptions options;
   options.seed = seed;
@@ -124,15 +133,16 @@ void RunChaos(uint64_t seed, bool caching) {
             << "cached answer diverged from re-execution for " << table;
       }
     }
-    // Half the probes additionally re-run on the interpreted scan oracle
-    // (cache bypassed so it really scans): the vectorized default must
-    // stay byte-identical mid-chaos — across compression states,
-    // repartitions, failovers and joins.
+    // Half the probes additionally re-run with every server on the
+    // interpreted scan oracle (cache bypassed so it really scans): the
+    // vectorized default must stay byte-identical mid-chaos — across
+    // compression states, repartitions, failovers and joins.
     if (rng.NextBool(0.5)) {
       cubrick::QueryRequest oracle = request;
       oracle.cache_policy = cache::CachePolicy::kBypass;
-      oracle.scan_path = exec::ScanPath::kInterpreted;
+      SetScanPath(dep, exec::ScanPath::kInterpreted);
       auto interpreted = dep.Query(cubrick::QueryRequest(oracle));
+      SetScanPath(dep, exec::ScanPath::kVectorized);
       if (interpreted.status.ok()) {
         EXPECT_TRUE(SameResult(outcome.result, interpreted.result))
             << "vectorized answer diverged from the interpreted oracle for "

@@ -62,6 +62,14 @@ class BrickTest : public ::testing::Test {
     return q;
   }
 
+  // A whole-brick scan as TablePartition's serial driver runs it.
+  void Scan(const Query& q, QueryResult& result,
+            std::atomic<int64_t>* decompressions) {
+    brick_.Touch();
+    brick_.ScanRange(schema_, q, result, decompressions, nullptr, 0,
+                     brick_.num_rows());
+  }
+
   TableSchema schema_;
   Brick brick_;
 };
@@ -69,7 +77,7 @@ class BrickTest : public ::testing::Test {
 TEST_F(BrickTest, ScanAggregatesAll) {
   QueryResult result(1);
   std::atomic<int64_t> decompressions{0};
-  brick_.Scan(schema_, SumQuery(), result, &decompressions);
+  Scan(SumQuery(), result, &decompressions);
   EXPECT_EQ(*result.Value({}, 0, AggOp::kSum), 7.0);
   EXPECT_EQ(result.rows_scanned, 3);
   EXPECT_EQ(decompressions, 0);
@@ -80,7 +88,7 @@ TEST_F(BrickTest, ScanAppliesRowFilters) {
   q.filters = {FilterRange{0, 21, 26}};  // only x=23, x=25 pass
   QueryResult result(1);
   std::atomic<int64_t> decompressions{0};
-  brick_.Scan(schema_, q, result, &decompressions);
+  Scan(q, result, &decompressions);
   EXPECT_EQ(*result.Value({}, 0, AggOp::kSum), 3.0);
 }
 
@@ -89,7 +97,7 @@ TEST_F(BrickTest, ScanGroupBy) {
   q.group_by = {1};  // y
   QueryResult result(1);
   std::atomic<int64_t> decompressions{0};
-  brick_.Scan(schema_, q, result, &decompressions);
+  Scan(q, result, &decompressions);
   EXPECT_EQ(result.num_groups(), 3u);
   EXPECT_EQ(*result.Value({17}, 0, AggOp::kSum), 1.0);
   EXPECT_EQ(*result.Value({16}, 0, AggOp::kSum), 2.0);
@@ -100,8 +108,8 @@ TEST_F(BrickTest, ScanBumpsHotness) {
   EXPECT_EQ(brick_.hotness(), 0u);
   QueryResult result(1);
   std::atomic<int64_t> d{0};
-  brick_.Scan(schema_, SumQuery(), result, &d);
-  brick_.Scan(schema_, SumQuery(), result, &d);
+  Scan(SumQuery(), result, &d);
+  Scan(SumQuery(), result, &d);
   EXPECT_EQ(brick_.hotness(), 2u);
   brick_.Decay();
   EXPECT_EQ(brick_.hotness(), 1u);
@@ -120,7 +128,7 @@ TEST_F(BrickTest, CompressShrinksMemoryAndScanRestores) {
 
   QueryResult result(1);
   std::atomic<int64_t> decompressions{0};
-  brick_.Scan(schema_, SumQuery(), result, &decompressions);
+  Scan(SumQuery(), result, &decompressions);
   EXPECT_EQ(decompressions, 1);
   EXPECT_EQ(brick_.state(), BrickState::kUncompressed);
   EXPECT_EQ(*result.Value({}, 0, AggOp::kSum), 7.0);
@@ -143,7 +151,7 @@ TEST_F(BrickTest, AppendToCompressedBrickDecompressesFirst) {
   EXPECT_EQ(brick_.num_rows(), 4u);
   QueryResult result(1);
   std::atomic<int64_t> d{0};
-  brick_.Scan(schema_, SumQuery(), result, &d);
+  Scan(SumQuery(), result, &d);
   EXPECT_EQ(*result.Value({}, 0, AggOp::kSum), 15.0);
 }
 
@@ -159,7 +167,7 @@ TEST_F(BrickTest, SsdEvictionLifecycle) {
   // Scanning an SSD brick loads + decompresses transparently.
   QueryResult result(1);
   std::atomic<int64_t> decompressions{0};
-  brick_.Scan(schema_, SumQuery(), result, &decompressions);
+  Scan(SumQuery(), result, &decompressions);
   EXPECT_EQ(brick_.state(), BrickState::kUncompressed);
   EXPECT_EQ(brick_.SsdFootprint(), 0u);
   EXPECT_EQ(*result.Value({}, 0, AggOp::kSum), 7.0);

@@ -418,75 +418,6 @@ TEST_F(CubrickServerTest, ExecutePartialCancelledByToken) {
   EXPECT_EQ(partial.status().code(), StatusCode::kCancelled);
 }
 
-TEST_F(CubrickServerTest, ExecutePartialManyFansPartitionsAcrossPool) {
-  // Under naive-hash mapping two partitions of one table can land in
-  // the same shard — and a host may legally own both (same shard, so no
-  // collision). That is the multi-partition fan-out case
-  // ExecutePartialMany parallelizes. (The fixture catalog's
-  // kHashPartitionZero strategy spreads partitions over distinct shards
-  // by construction, so this test builds its own naive-hash catalog.)
-  Catalog hash_catalog(100, ShardMappingStrategy::kNaiveHash);
-  TableSchema schema = workload::MakeSchema(2, 64, 8, 1);
-  ASSERT_TRUE(hash_catalog.CreateTable("many", schema, 100).ok());
-  std::vector<sm::ShardId> shards = hash_catalog.ShardsForTable("many");
-  std::set<sm::ShardId> distinct(shards.begin(), shards.end());
-  std::vector<uint32_t> parts;
-  sm::ShardId multi = 0;
-  for (sm::ShardId s : distinct) {
-    std::vector<uint32_t> here;
-    for (const PartitionRef& ref : hash_catalog.PartitionsForShard(s)) {
-      if (ref.table == "many") here.push_back(ref.partition);
-    }
-    if (here.size() >= 2) {
-      multi = s;
-      parts = here;
-      break;
-    }
-  }
-  if (parts.empty()) GTEST_SKIP() << "no shard drew two partitions";
-
-  CubrickServerOptions popts = options_;
-  popts.scan_workers = 4;
-  popts.morsel_rows = 128;
-  CubrickServer host(&sim_, &cluster_, &hash_catalog, /*server=*/5, popts);
-  ASSERT_TRUE(host.AddShard(multi, sm::ShardRole::kPrimary).ok());
-  for (size_t i = 0; i < parts.size(); ++i) {
-    ASSERT_TRUE(
-        host.InsertRows("many", parts[i], MakeRows(300, /*seed=*/40 + i))
-            .ok());
-  }
-
-  Query q;
-  q.table = "many";
-  q.group_by = {1};
-  q.aggregations = {Aggregation{0, AggOp::kSum},
-                    Aggregation{0, AggOp::kCount}};
-  auto many = host.ExecutePartialMany(q, parts);
-  ASSERT_TRUE(many.ok());
-  ASSERT_EQ(many->size(), parts.size());
-  for (size_t i = 0; i < parts.size(); ++i) {
-    auto single = host.ExecutePartial(q, parts[i]);
-    ASSERT_TRUE(single.ok());
-    EXPECT_TRUE(SameRows(MaterializeRows(single->result, q),
-                         MaterializeRows((*many)[i].result, q)))
-        << "partition " << parts[i];
-  }
-}
-
-TEST_F(CubrickServerTest, ExecutePartialManySerialFallbackWithoutPool) {
-  auto shards = MakeTable("t");
-  ASSERT_TRUE(server(0).AddShard(shards[0], sm::ShardRole::kPrimary).ok());
-  ASSERT_TRUE(server(0).InsertRows("t", 0, MakeRows(100)).ok());
-  Query q;
-  q.table = "t";
-  q.aggregations = {Aggregation{0, AggOp::kSum}};
-  ASSERT_EQ(server(0).exec_pool(), nullptr);
-  auto many = server(0).ExecutePartialMany(q, {0});
-  ASSERT_TRUE(many.ok());
-  ASSERT_EQ(many->size(), 1u);
-  EXPECT_EQ((*many)[0].result.rows_scanned, 100);
-}
-
 TEST_F(CubrickServerTest, ExecSchedulingPoolsCappedAgainstDistinctPaths) {
   auto shards = MakeTable("t");
   CubrickServerOptions popts = options_;
@@ -503,7 +434,7 @@ TEST_F(CubrickServerTest, ExecSchedulingPoolsCappedAgainstDistinctPaths) {
     const std::string pool = "tenant/p" + std::to_string(i);
     ASSERT_TRUE(host.ExecutePartial(q, 0, -1, nullptr, {}, -1,
                                     cache::CachePolicy::kDefault, nullptr,
-                                    exec::ScanPath::kVectorized, nullptr, &pool)
+                                    nullptr, &pool)
                     .ok());
   }
   EXPECT_LE(host.exec_pool()->PoolStats().size(), admit::kMaxPools + 1);

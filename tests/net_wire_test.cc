@@ -155,10 +155,12 @@ TEST(FrameTest, ResourceClaimGenerationBumpedWireVersion) {
 TEST(FrameTest, ColumnarResultGenerationBumpedWireVersion) {
   // Query results moved from one record per group to columns (arity
   // once, the key column, then one column per state field), so the
-  // frame version moved to 4. A v3 peer's frames must be rejected at
-  // the frame layer, never decoded as columns.
-  EXPECT_EQ(4, net::kWireVersion);
-  for (uint8_t old_version : {1, 2, 3}) {
+  // frame version moved to 4; dropping the scan-path byte from the
+  // request payloads moved it to 5. Older peers' frames must be
+  // rejected at the frame layer, never decoded as columns or read one
+  // byte off.
+  EXPECT_EQ(5, net::kWireVersion);
+  for (uint8_t old_version : {1, 2, 3, 4}) {
     std::string bytes = net::EncodeFrame(net::FrameType::kSubqueryResponse, 4,
                                          "per-group result from a v3 peer");
     bytes[4] = static_cast<char>(old_version);
@@ -482,7 +484,6 @@ TEST(WireDifferentialTest, SubqueryEnvelopeRoundTripsByteStable) {
     envelope.partition = static_cast<uint32_t>(rng.NextBounded(64));
     envelope.cache_policy =
         static_cast<cache::CachePolicy>(rng.NextBounded(4));
-    envelope.scan_path = static_cast<exec::ScanPath>(rng.NextBounded(2));
     if (rng.NextBool(0.5)) envelope.fingerprint = "fp" + std::to_string(i);
     envelope.remaining_budget =
         static_cast<SimDuration>(rng.NextBounded(10000000));
@@ -528,7 +529,6 @@ TEST(WireDifferentialTest, CoordinateEnvelopesRoundTripByteStable) {
     cubrick::wire::CoordinateEnvelope envelope;
     envelope.query = RandomQuery(rng);
     envelope.cache_policy = static_cast<cache::CachePolicy>(rng.NextBounded(4));
-    envelope.scan_path = static_cast<exec::ScanPath>(rng.NextBounded(2));
     envelope.remaining_budget =
         static_cast<SimDuration>(rng.NextBounded(10000000));
     envelope.dispatch_time = static_cast<SimTime>(rng.NextBounded(1u << 30));
@@ -653,7 +653,6 @@ TEST(WireDifferentialTest, TreeMergeEnvelopesRoundTripByteStable) {
     }
     envelope.fanin = 2 + static_cast<int>(rng.NextBounded(14));
     envelope.cache_policy = static_cast<cache::CachePolicy>(rng.NextBounded(4));
-    envelope.scan_path = static_cast<exec::ScanPath>(rng.NextBounded(2));
     if (rng.NextBool(0.5)) envelope.fingerprint = "fp" + std::to_string(i);
     envelope.remaining_budget =
         static_cast<SimDuration>(rng.NextBounded(10000000));
@@ -719,6 +718,98 @@ TEST(WireDifferentialTest, TreeMergeRequestRejectsMalformedShapes) {
           .ok());
 }
 
+TEST(WireDifferentialTest, OutOfRangeEnumBytesRejected) {
+  // An enum byte past the last enumerator must be rejected as
+  // InvalidArgument, never cast into a value no switch names. Each
+  // enum is probed at its first invalid value and at 255.
+  Rng rng(0xE7E7);
+  const Query query = RandomQuery(rng);
+  const auto expect_invalid = [](const auto& decoded, const char* what,
+                                 int byte) {
+    EXPECT_EQ(StatusCode::kInvalidArgument, decoded.status().code())
+        << what << " byte " << byte;
+  };
+  for (int byte : {4, 255}) {
+    const auto policy = static_cast<cache::CachePolicy>(byte);
+    const auto strategy = static_cast<cubrick::JoinStrategy>(byte);
+
+    cubrick::wire::SubqueryEnvelope subquery;
+    subquery.query = query;
+    subquery.cache_policy = policy;
+    expect_invalid(cubrick::wire::DecodeSubqueryRequest(
+                       cubrick::wire::EncodeSubqueryRequest(subquery)),
+                   "subquery cache policy", byte);
+
+    cubrick::wire::TreeMergeEnvelope tree;
+    tree.query = query;
+    tree.cache_policy = policy;
+    expect_invalid(cubrick::wire::DecodeTreeMergeRequest(
+                       cubrick::wire::EncodeTreeMergeRequest(tree)),
+                   "tree merge cache policy", byte);
+
+    cubrick::wire::CoordinateEnvelope coordinate;
+    coordinate.query = query;
+    coordinate.cache_policy = policy;
+    expect_invalid(cubrick::wire::DecodeCoordinateRequest(
+                       cubrick::wire::EncodeCoordinateRequest(coordinate)),
+                   "coordinate cache policy", byte);
+    coordinate.cache_policy = cache::CachePolicy::kDefault;
+    coordinate.join_strategy = strategy;
+    expect_invalid(cubrick::wire::DecodeCoordinateRequest(
+                       cubrick::wire::EncodeCoordinateRequest(coordinate)),
+                   "coordinate join strategy", byte);
+
+    cubrick::DistributedOutcome outcome;
+    outcome.strategy = strategy;
+    expect_invalid(cubrick::wire::DecodeCoordinateResponse(
+                       cubrick::wire::EncodeCoordinateResponse(outcome)),
+                   "coordinate response strategy", byte);
+
+    cubrick::QueryRequest request;
+    request.query = query;
+    request.cache_policy = policy;
+    expect_invalid(cubrick::wire::DecodeClientQuery(
+                       cubrick::wire::EncodeClientQuery(request)),
+                   "client cache policy", byte);
+    request.cache_policy = cache::CachePolicy::kDefault;
+    request.join_strategy = strategy;
+    expect_invalid(cubrick::wire::DecodeClientQuery(
+                       cubrick::wire::EncodeClientQuery(request)),
+                   "client join strategy", byte);
+  }
+  for (int byte : {3, 255}) {
+    cubrick::QueryRequest request;
+    request.query = query;
+    request.claim.priority = static_cast<admit::Priority>(byte);
+    expect_invalid(cubrick::wire::DecodeClientQuery(
+                       cubrick::wire::EncodeClientQuery(request)),
+                   "client priority", byte);
+  }
+}
+
+TEST(WireDifferentialTest, OutOfRangeAggOpFailsValidation) {
+  // The query codec carries an op byte verbatim; Query::Validate, which
+  // the SQL and the wire entry points both run, must reject one past
+  // kAvg — it would otherwise finalize to 0.0 without a word.
+  cubrick::TableSchema schema;
+  schema.dimensions = {cubrick::Dimension{"day", 8, 1}};
+  schema.metrics = {cubrick::Metric{"clicks"}};
+  cubrick::QueryRequest request;
+  request.query.table = "t";
+  request.query.aggregations = {
+      cubrick::Aggregation{0, cubrick::AggOp::kAvg}};
+  ASSERT_TRUE(request.query.Validate(schema).ok());
+  for (int byte : {5, 9, 255}) {
+    request.query.aggregations[0].op = static_cast<cubrick::AggOp>(byte);
+    auto decoded = cubrick::wire::DecodeClientQuery(
+        cubrick::wire::EncodeClientQuery(request));
+    ASSERT_TRUE(decoded.ok()) << byte;
+    EXPECT_EQ(StatusCode::kInvalidArgument,
+              decoded->query.Validate(schema).code())
+        << "op byte " << byte;
+  }
+}
+
 TEST(WireDifferentialTest, ShuffleMapEnvelopesRoundTripByteStable) {
   Rng rng(0x5FF);
   for (int i = 0; i < 100; ++i) {
@@ -762,7 +853,6 @@ TEST(WireDifferentialTest, ClientMessagesRoundTripByteStable) {
     request.claim.priority = static_cast<admit::Priority>(rng.NextBounded(3));
     request.claim.weight_hint =
         rng.NextBool(0.25) ? 1.0 + rng.NextDouble() * 7.0 : 0.0;
-    request.scan_path = static_cast<exec::ScanPath>(rng.NextBounded(2));
     request.join_strategy =
         static_cast<cubrick::JoinStrategy>(rng.NextBounded(4));
     request.merge_fanin = static_cast<int>(rng.NextBounded(16));
