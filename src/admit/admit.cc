@@ -306,7 +306,7 @@ Decision AdmissionController::Admit(const RequestInfo& info) {
     return decision;
   };
 
-  // 1. Token-bucket rate limit (the legacy max_qps window maps here).
+  // 1. Token-bucket rate limit.
   if (options_.max_rate > 0.0) {
     RefillTokensLocked(now);
     if (tokens_ < 1.0) {

@@ -8,8 +8,7 @@
 // client stopped waiting at. This module is the real admission pipeline
 // the proxy folds every submission through:
 //
-//  * a token-bucket rate limit (the legacy ProxyOptions::max_qps maps
-//    onto it);
+//  * a token-bucket rate limit;
 //  * priority-tiered overload shedding driven by the *servers'* own
 //    backpressure signal (exec-pool queue depth + modeled scan backlog):
 //    best-effort traffic sheds first, batch next, interactive last;
@@ -80,7 +79,7 @@ std::string_view PriorityName(Priority priority);
 // scalewall_admit_rejected_total series).
 enum class RejectReason {
   kNone = 0,
-  kRateLimit,     // token bucket empty (max_rate / legacy max_qps)
+  kRateLimit,     // token bucket empty (max_rate)
   kOverload,      // backend overload score above this tier's threshold
   kPoolLimit,     // per-pool concurrency cap
   kBytesLimit,    // global or per-pool in-flight-bytes budget
@@ -136,8 +135,7 @@ class ServiceTimeEstimator {
 struct AdmitOptions {
   // Queries concurrently in flight (virtually) before new arrivals
   // queue. 0 = unlimited: disables the concurrency/fairness/deadline
-  // machinery and leaves only the rate limit and overload shedding —
-  // the configuration the legacy max_qps window maps onto.
+  // machinery and leaves only the rate limit and overload shedding.
   int max_concurrency = 64;
   // Arrivals allowed to wait (virtually) for a slot once every slot is
   // busy; beyond it arrivals shed with kQueueFull. -1 = same as
@@ -150,7 +148,6 @@ struct AdmitOptions {
   // (RequestInfo::bytes == 0).
   size_t default_query_bytes = 64 * 1024;
   // Token-bucket rate limit: admitted queries per second (0 = none).
-  // ProxyOptions::max_qps maps here.
   double max_rate = 0.0;
   // Bucket depth; 0 = max(1, max_rate) (one second of burst).
   double burst = 0.0;

@@ -41,8 +41,6 @@ Deployment::Deployment(DeploymentOptions options)
     // Deployment-level convenience knob; an explicitly-configured nested
     // proxy_options.admission always wins.
     options_.proxy_options.enable_admission = true;
-    options_.proxy_options.admission.max_concurrency =
-        options_.scheduler.admission_max_concurrency;
   }
   // Scheduler pool configs layer over (and win against) any configured
   // directly on proxy_options.admission.pools.

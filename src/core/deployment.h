@@ -74,13 +74,9 @@ struct SchedulerOptions {
   // Turns on the proxy's admission pipeline (scalewall::admit):
   // hierarchical weighted-fair concurrency sharing over the pool tree
   // with priority tiers, deadline-aware queue-wait rejection,
-  // backend-overload shedding and min-share preemption — with the
-  // nested proxy_options.admission knobs (which always win when
-  // proxy_options.enable_admission was already set explicitly).
+  // backend-overload shedding and min-share preemption — configured by
+  // the nested proxy_options.admission knobs.
   bool enable_admission = false;
-  // Convenience mirror of proxy_options.admission.max_concurrency used
-  // when enable_admission is set here (0 = rate-only pipeline).
-  int admission_max_concurrency = 64;
   // Per-server virtual scan-queue depth
   // (server_options.virtual_scan_slots); > 0 makes backends degrade
   // under overload instead of serving unbounded concurrency for free.

@@ -12,11 +12,14 @@
 // unavailable, queries will fail and be retried on a different region by
 // Cubrick proxy" (Section IV-D).
 //
-// Timing model: subqueries to all partition hosts run in parallel; the
+// ExecuteDistributed owns the data path and asks an AttemptEnv for
+// placement, failure draws, spans and time. The simulator's modeled
+// environment runs subqueries to all partition hosts in parallel: the
 // distributed latency is the max over per-host (network hop + service
 // latency) plus a merge term, with per-host transient failures drawn from
-// the paper's failure model — the process behind Figures 1, 2 and 5. The
-// data path is real: partial aggregation states are computed by scanning
+// the paper's failure model — the process behind Figures 1, 2 and 5. A
+// node proxy's wall environment measures instead. Either way the data
+// path is real: partial aggregation states are computed by scanning
 // actual bricks and merged on the coordinator.
 
 #ifndef SCALEWALL_CUBRICK_COORDINATOR_H_
@@ -24,6 +27,7 @@
 
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -157,23 +161,87 @@ struct DistributedOutcome : ReliabilityCounters {
   cluster::ServerId failed_server = cluster::kInvalidServer;
 };
 
-// Executes an ExecutionPlan (planner.h) with the coordinator running on
-// `plan.coordinator`, fanning out to every partition of the table as
-// resolved through the coordinator's local discovery view. The plan
-// decides how: join strategy (replicated / broadcast / shuffle) and
-// merge topology (flat / k-ary tree, where servers merge AggState
-// partials from their subtree before forwarding — the subtree hops ride
-// kTreeMergeRequest frames over ctx.transport). Every topology merges in
-// a fixed order (ascending partitions, contiguous chunks), so results
-// are byte-identical across strategies and topologies on the repo's
-// integral datasets (DESIGN.md §15).
-//
-// Per-host transient failures are retried and slow subqueries hedged
-// per `ctx.policy`; `ectx` carries the rest of the per-attempt inputs:
-// the caller's RNG stream, the deadline budget (0 = unlimited), the
-// parent trace span (a "plan" child span records the executed
-// strategy), the cache policy / precomputed fingerprint routed to every
-// server's partial-result cache, and the brick-scan implementation.
+// One attempt as its environment's hooks see it. ExecuteDistributed owns
+// it; hooks may write `spans` and, where documented, `outcome`.
+struct AttemptFrame {
+  obs::TraceContext trace;  // parent of the attempt's spans
+  SimTime t0 = 0;           // the time they start at
+  std::vector<cluster::ServerId>* servers = nullptr;  // partition -> host
+  std::vector<obs::TraceContext> spans;  // per chunk, by first leaf
+  DistributedOutcome* outcome = nullptr;
+};
+
+// Where a distributed attempt runs: placement and clock, one seam since
+// no caller varies them apart. The modeled environment (the two-argument
+// ExecuteDistributed) places through SM and draws simulated time, one
+// per attempt; node::ProxyCore's wall environment places statically,
+// measures time and is shared by its handler threads. Hooks run on the
+// attempt's thread. The durations they return are modeled (the defaults
+// model nothing): ExecuteDistributed sums them, Latency converts a sum.
+class AttemptEnv {
+ public:
+  virtual ~AttemptEnv() = default;
+  // The clock's current time: anchors an attempt with no dispatch time.
+  virtual SimTime Now() = 0;
+  virtual SimDuration Latency(const AttemptFrame& frame,
+                              SimDuration modeled) = 0;
+  // The coordinator's replica of each join's dimension table (nullptr
+  // where it has none), or why it cannot coordinate.
+  virtual Result<std::vector<const ReplicatedTable*>> CoordinatorDims(
+      const std::vector<Join>& joins) = 0;
+  // Partition `p`'s host. A failure sets frame.outcome->latency.
+  virtual Result<cluster::ServerId> Place(AttemptFrame& frame,
+                                          const std::string& table,
+                                          uint32_t p) = 0;
+  // Draws the placed hosts' transient failures; one that fails the
+  // attempt sets frame.outcome's status, latency and failed_server.
+  virtual void DrawFailures(AttemptFrame&,
+                            const std::set<cluster::ServerId>& /*hosts*/) {}
+  // The trace a call carries in-process (the sim's side-band).
+  virtual obs::TraceContext SidebandTrace(const obs::TraceContext&) {
+    return {};
+  }
+  // Before chunk [lo, hi) is sent: opens frame.spans[lo] and sets the
+  // call's trace, on the side-band or as a wire telemetry block.
+  virtual void OpenChunk(AttemptFrame& frame, size_t lo, size_t hi,
+                         net::CallSideband* sideband,
+                         std::string* telemetry) = 0;
+  // Chunk [lo, hi) replied, with its leaves' forward hops and span batch.
+  virtual SimDuration FoldChunk(AttemptFrame& frame, size_t lo, size_t hi,
+                                const std::vector<int>& forward_hops,
+                                std::string_view span_batch) = 0;
+  // The time a failed call takes to surface.
+  virtual SimDuration FailedCall() { return 0; }
+  // The coordinator merges `partials` partials, starting `at`.
+  virtual SimDuration Merge(AttemptFrame&, size_t /*partials*/,
+                            SimTime /*at*/) { return 0; }
+  // Shuffle bucket `bucket`'s `groups` groups map on `server`, from `at`.
+  virtual SimDuration MapBucket(AttemptFrame&, uint32_t /*bucket*/,
+                                cluster::ServerId /*server*/,
+                                size_t /*groups*/, SimTime /*at*/) {
+    return 0;
+  }
+};
+
+// Executes an ExecutionPlan (planner.h) in `env`, fanning out to every
+// partition of the table as `env` places it. The plan decides how: join
+// strategy (replicated / broadcast / shuffle) and merge topology (flat /
+// k-ary tree, where servers merge AggState partials from their subtree
+// before forwarding — the subtree hops ride kTreeMergeRequest frames
+// over ctx.transport). Every topology merges in a fixed order (ascending
+// partitions, contiguous chunks), so results are byte-identical across
+// strategies and topologies on the repo's integral datasets (DESIGN.md
+// §15). `ectx` carries the rest: the region's catalog and transport, the
+// deadline budget (0 = unlimited), the parent trace span (a "plan" child
+// span records the executed strategy), the cache policy / precomputed
+// fingerprint routed to every server's partial-result cache, the pool.
+DistributedOutcome ExecuteDistributed(const ExecutionPlan& plan,
+                                      ExecContext& ectx, AttemptEnv& env);
+
+// ExecuteDistributed in ectx.region's modeled environment: the
+// coordinator on `plan.coordinator` resolves partitions through its
+// local discovery view, retries and hedges per `ctx.policy`, and draws
+// time from `ectx.rng`.
 DistributedOutcome ExecuteDistributed(const ExecutionPlan& plan,
                                       ExecContext& ectx);
 

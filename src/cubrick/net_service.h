@@ -12,7 +12,8 @@
 //   proxy --kEpochRequest--> region             (merged-cache validation)
 //
 // The subquery and tree-merge hops have one client, FanOutChunks: the
-// coordinator, every tree aggregator and the node proxy run it.
+// coordinator (in a Deployment or a node proxy) and every tree
+// aggregator run it.
 //
 // Under the sim backend these calls complete inline on the simulated
 // clock and are deterministic: the wire codecs are lossless, partials

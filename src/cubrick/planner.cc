@@ -204,36 +204,6 @@ uint32_t ShuffleBucket(std::span<const uint32_t> key, size_t num_join_keys,
   return static_cast<uint32_t>(h % num_buckets);
 }
 
-void TracePlan(const obs::TraceContext& parent, SimTime at,
-               JoinStrategy strategy, int fanin, int num_leaves) {
-  const bool tree = fanin >= 2;
-  if (strategy == JoinStrategy::kReplicated && !tree) return;
-  obs::TraceContext span = parent.Child("plan", at);
-  span.Annotate("strategy", std::string(JoinStrategyName(strategy)));
-  span.Annotate("merge", std::string(MergeTopologyName(
-                             tree ? MergeTopology::kTree
-                                  : MergeTopology::kFlat)));
-  if (tree) {
-    span.Annotate("fanin", std::to_string(fanin));
-    span.Annotate("depth", std::to_string(TreeDepth(num_leaves, fanin)));
-  }
-  span.End(at);
-}
-
-std::map<uint32_t, QueryResult> BucketShuffleGroups(
-    const QueryResult& scanned, size_t num_join_keys, uint32_t num_buckets,
-    size_t num_aggregations) {
-  std::map<uint32_t, QueryResult> buckets;
-  for (const auto& [key, states] : scanned.groups()) {
-    // Ascending keys: each bucket is one sorted run.
-    buckets
-        .try_emplace(ShuffleBucket(key, num_join_keys, num_buckets),
-                     num_aggregations)
-        .first->second.AppendRun(1, key, states);
-  }
-  return buckets;
-}
-
 Result<QueryResult> ApplyShuffleMapping(const Query& query,
                                         const JoinContext& dims,
                                         const QueryResult& bucket) {

@@ -37,7 +37,6 @@
 #define SCALEWALL_CUBRICK_PLANNER_H_
 
 #include <cstdint>
-#include <map>
 #include <span>
 #include <string>
 #include <string_view>
@@ -137,10 +136,10 @@ struct ExecutionPlan {
 // the parameter-list creep the old ExecuteDistributed signature had.
 struct ExecContext {
   RegionContext* region = nullptr;  // required
-  Rng* rng = nullptr;               // required
+  Rng* rng = nullptr;  // required by the modeled environment
   SimDuration deadline_budget = 0;  // 0 = unlimited
   obs::TraceContext trace = {};
-  SimTime dispatch_time = -1;  // -1 = the simulation's current time
+  SimTime dispatch_time = -1;  // -1 = the environment's current time
   cache::CachePolicy cache_policy = cache::CachePolicy::kDefault;
   const std::string* fingerprint = nullptr;  // precomputed, optional
   // Normalized pool path of the admitted ResourceClaim: rides every
@@ -170,12 +169,6 @@ ExecutionPlan BuildExecutionPlan(const RegionContext& ctx, const Query& query,
 // coordinator merges every leaf directly, i.e. flat).
 int TreeDepth(int leaves, int fanin);
 
-// Records a plan off the seed path as a "plan" span (strategy, merge
-// topology, and a tree's fan-in and depth over `num_leaves`); the seed
-// plan (replicated, `fanin` < 2) records nothing.
-void TracePlan(const obs::TraceContext& parent, SimTime at,
-               JoinStrategy strategy, int fanin, int num_leaves);
-
 // Width of each contiguous chunk when a range of `n` partials splits
 // into at most `fanin` subtrees: ceil(n / fanin). Every layer that
 // walks the merge tree — the executor's data pass, its modeled timing
@@ -187,8 +180,8 @@ inline int TreeChunkSize(int n, int fanin) {
   return n / fanin + (n % fanin != 0);  // ceil, without overflow
 }
 
-// --- shuffle-join building blocks (pure; shared by the coordinator,
-// --- the server's stage-2 endpoint and the node roles) ---
+// --- shuffle-join building blocks (pure; shared by the coordinator
+// --- and the server's stage-2 endpoint) ---
 
 // The stage-1 scan query of a shuffle: joins stripped, each join's raw
 // fact key appended to the group-by (after the plain dimensions, in
@@ -202,12 +195,6 @@ Query MakeShuffleScanQuery(const Query& query);
 // processes and platforms by construction (no std::hash).
 uint32_t ShuffleBucket(std::span<const uint32_t> key, size_t num_join_keys,
                        uint32_t num_buckets);
-
-// Splits a stage-1 result into its stage-2 buckets by ShuffleBucket,
-// each one ascending run, in ascending bucket order (the fold order).
-std::map<uint32_t, QueryResult> BucketShuffleGroups(
-    const QueryResult& scanned, size_t num_join_keys, uint32_t num_buckets,
-    size_t num_aggregations);
 
 // Stage 2: maps one bucket of stage-1 groups through the dimension
 // tables, reproducing exactly the replicated scan's join semantics —

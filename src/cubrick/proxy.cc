@@ -106,20 +106,7 @@ CubrickProxy::CubrickProxy(sim::Simulation* simulation,
     merged_cache_ =
         std::make_unique<MergedResultCache>(options_.merged_cache_bytes);
   }
-  // Legacy max_qps alone maps onto a rate-only admission pipeline: the
-  // token bucket reproduces the old per-second window (burst = rate)
-  // without its O(window) deque scan, and no concurrency/fairness
-  // machinery engages — existing configurations behave as before.
-  if (!options_.enable_admission && options_.max_qps > 0) {
-    options_.enable_admission = true;
-    options_.admission = admit::AdmitOptions{};
-    options_.admission.max_concurrency = 0;
-    options_.admission.max_rate = options_.max_qps;
-  }
   if (options_.enable_admission) {
-    if (options_.max_qps > 0 && options_.admission.max_rate <= 0.0) {
-      options_.admission.max_rate = options_.max_qps;
-    }
     if (options_.admission.metrics == nullptr) {
       options_.admission.metrics = options_.metrics;
     }

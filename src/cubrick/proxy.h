@@ -73,12 +73,6 @@ struct ProxyOptions {
   // A server is only blacklisted after this many failures within one
   // blacklist window (a single transient failure is not a dead host).
   int blacklist_threshold = 3;
-  // Legacy admission knob: max queries admitted per second
-  // (0 = unlimited). Maps onto the admission pipeline's token bucket
-  // (admission.max_rate) — setting it alone turns on a rate-only
-  // AdmissionController, reproducing the old per-second window without
-  // its O(window) deque scan per Submit.
-  int max_qps = 0;
   // The real admission pipeline (scalewall::admit): token-bucket rate
   // limiting, hierarchical fair-share pools with min-share guarantees
   // and best-effort preemption, priority tiers, in-flight-bytes
@@ -213,8 +207,8 @@ class CubrickProxy {
   // transitional Submit(Query, region) shim is gone.
   QueryOutcome Submit(const QueryRequest& request);
 
-  // The admission controller (null unless enable_admission / max_qps
-  // configured one). Exposed for pool configuration and tests.
+  // The admission controller (null unless enable_admission configured
+  // one). Exposed for pool configuration and tests.
   admit::AdmissionController* admission() { return admission_.get(); }
 
   // (Re)configures one fair-share pool's weight, min/max shares and

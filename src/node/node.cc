@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "cubrick/net_service.h"
-#include "cubrick/planner.h"
 #include "net/event_loop.h"
 
 namespace scalewall::node {
@@ -153,18 +152,84 @@ Result<net::Message> ServerCore::Handle(const net::Message& request) {
   return handler_(request, net::CallSideband{});
 }
 
+// The node proxy's environment: partitions at their ServerForPartition
+// hosts, the dataset's dim replica, wall-clock time, nothing modeled.
+// Chunk spans travel as wire telemetry blocks, never on the side-band,
+// and each server's span batch is grafted under its chunk's span.
+// Immutable once built, so ProxyNode's handler threads share it.
+class ProxyCore::WallEnv : public cubrick::AttemptEnv {
+ public:
+  WallEnv(uint32_t num_servers, net::TelemetryDecodeCounters* decode_errors)
+      : num_servers_(num_servers),
+        dim_(BuildDimTable()),
+        decode_errors_(decode_errors) {}
+
+  SimTime Now() override { return net::EventLoop::NowMicros(); }
+  SimDuration Latency(const cubrick::AttemptFrame& frame,
+                      SimDuration) override {
+    return Now() - frame.t0;
+  }
+  // The proxy's catalog admits joins against the dataset's dim only.
+  Result<std::vector<const cubrick::ReplicatedTable*>> CoordinatorDims(
+      const std::vector<cubrick::Join>& joins) override {
+    return std::vector<const cubrick::ReplicatedTable*>(joins.size(), &dim_);
+  }
+  Result<cluster::ServerId> Place(cubrick::AttemptFrame&, const std::string&,
+                                  uint32_t p) override {
+    return ServerForPartition(p, num_servers_);
+  }
+  void OpenChunk(cubrick::AttemptFrame& frame, size_t lo, size_t hi,
+                 net::CallSideband*, std::string* telemetry) override {
+    if (!frame.trace.active()) return;
+    obs::TraceContext& span = frame.spans[lo];
+    span = frame.trace.Child(
+        hi - lo == 1 ? "subquery p" + std::to_string(lo)
+                     : "tree merge p" + std::to_string(lo) + "-p" +
+                           std::to_string(hi - 1),
+        frame.t0);
+    span.Annotate("server", cubrick::NodePeerName((*frame.servers)[lo]));
+    *telemetry = net::EncodeTraceContext(
+        {.want_spans = true, .trace_id = frame.trace.trace,
+         .span_id = span.span, .origin = "proxy"});
+  }
+  SimDuration FoldChunk(cubrick::AttemptFrame& frame, size_t lo, size_t,
+                        const std::vector<int>&,
+                        std::string_view span_batch) override {
+    if (!frame.trace.active()) return 0;
+    std::vector<obs::SpanRecord> batch;
+    const Status decoded = net::DecodeSpanBatch(span_batch, &batch);
+    if (!decoded.ok()) {
+      // Advisory: count, drop, keep the query (and the peer) alive.
+      decode_errors_->Bump(decoded);
+    } else if (!batch.empty()) {
+      frame.trace.sink->Graft(frame.spans[lo], batch);
+    }
+    frame.spans[lo].End(Now());
+    return 0;
+  }
+
+ private:
+  const uint32_t num_servers_;
+  const cubrick::ReplicatedTable dim_;
+  net::TelemetryDecodeCounters* const decode_errors_;
+};
+
 ProxyCore::ProxyCore(NodeOptions options, net::Transport* transport,
                      obs::MetricsRegistry* metrics)
-    : options_(std::move(options)),
-      transport_(transport),
-      slow_log_(options_.slow_log),
-      decode_errors_(metrics) {
+    : catalog_(BuildCatalog(options.dataset.num_partitions)),
+      slow_log_(options.slow_log),
+      decode_errors_(metrics),
+      env_(std::make_unique<WallEnv>(options.num_servers, &decode_errors_)) {
+  region_.catalog = &catalog_;
+  region_.transport = transport;
   if (metrics != nullptr) {
     queries_ = metrics->GetCounter("scalewall_node_queries_total");
     query_latency_ms_ =
         metrics->GetHistogram("scalewall_node_query_latency_ms");
   }
 }
+
+ProxyCore::~ProxyCore() = default;
 
 Result<net::Message> ProxyCore::Handle(const net::Message& request) {
   if (request.type != net::FrameType::kClientQuery) {
@@ -175,7 +240,6 @@ Result<net::Message> ProxyCore::Handle(const net::Message& request) {
   if (!decoded.ok()) return decoded.status();
   const cubrick::QueryRequest& query_request = *decoded;
   const cubrick::Query& query = query_request.query;
-  SCALEWALL_RETURN_IF_ERROR(query.Validate(DatasetSchema()));
 
   const int64_t start_micros = net::EventLoop::NowMicros();
   // Charge this query to its claim's pool: a running count for the
@@ -196,22 +260,6 @@ Result<net::Message> ProxyCore::Handle(const net::Message& request) {
                                  ? query_request.deadline
                                  : query.deadline;
 
-  // Resolve the request's plan. The node proxy keeps no cost model, so
-  // kAuto degrades to the seed strategy; joinless queries are always
-  // kReplicated (there is nothing to broadcast or shuffle).
-  for (const cubrick::Join& j : query.joins) {
-    if (j.dimension_table != DatasetDimTable()) {
-      return Status::NotFound("unknown dimension table " + j.dimension_table);
-    }
-  }
-  cubrick::JoinStrategy strategy = query_request.join_strategy;
-  if (query.joins.empty() || strategy == cubrick::JoinStrategy::kAuto) {
-    strategy = cubrick::JoinStrategy::kReplicated;
-  }
-  const uint32_t num_partitions = options_.dataset.num_partitions;
-  const int fanin = query_request.merge_fanin;
-  const bool tree = fanin >= 2 && num_partitions > 1;
-
   // Root span of the stitched trace. Every annotation below is a pure
   // function of request + data — the canonical tree must come out
   // byte-identical whether this core runs over sim or real sockets.
@@ -224,61 +272,43 @@ Result<net::Message> ProxyCore::Handle(const net::Message& request) {
                     admit::NormalizePoolPath(query_request.claim.pool_path));
     }
     if (budget > 0) root.Annotate("deadline", std::to_string(budget));
-    cubrick::TracePlan(root, start_micros, strategy, tree ? fanin : 0,
-                       static_cast<int>(num_partitions));
   }
 
-  // Every partition, at its ServerForPartition host. Broadcast ships
-  // one dim snapshot per join with every subquery; shuffle scans stage
-  // 1 with joins stripped and raw keys appended.
-  const bool shuffle = strategy == cubrick::JoinStrategy::kShuffle;
-  cwire::TreeMergeEnvelope base;
-  base.query = shuffle ? cubrick::MakeShuffleScanQuery(query) : query;
-  for (uint32_t p = 0; p < num_partitions; ++p) {
-    base.partitions.push_back(p);
-    base.servers.push_back(ServerForPartition(p, options_.num_servers));
-  }
-  base.fanin = tree ? fanin : 1;
-  base.cache_policy = query_request.cache_policy;
-  base.remaining_budget = budget;
-  if (strategy == cubrick::JoinStrategy::kBroadcast) {
-    base.dims.assign(query.joins.size(), BuildDimTable());
-  }
+  // A plan built by hand: with no cost model to consult, kAuto resolves
+  // to kReplicated and the request's merge topology stands.
+  cubrick::ExecutionPlan plan;
+  plan.query = query;
+  plan.join_strategy = query_request.join_strategy;
+  plan.merge_fanin = query_request.merge_fanin;
+  plan.shuffle_buckets = 8;
+  cubrick::ExecContext ectx;
+  ectx.region = &region_;
+  ectx.deadline_budget = budget;
+  ectx.trace = root;
+  ectx.dispatch_time = start_micros;
+  ectx.cache_policy = query_request.cache_policy;
+  cubrick::DistributedOutcome outcome =
+      cubrick::ExecuteDistributed(plan, ectx, *env_);
 
-  cubrick::QueryResult scanned(base.query.aggregations.size());
-  std::set<uint32_t> servers;
-  SCALEWALL_RETURN_IF_ERROR(FanOut(base, traced ? &root : nullptr,
-                                   start_micros, &scanned, &servers));
-
-  cubrick::QueryResult merged(query.aggregations.size());
-  if (shuffle) {
-    SCALEWALL_RETURN_IF_ERROR(ShuffleMap(query, scanned, &merged, &servers));
-    // Scan counters come from stage 1 — the mapping carries none.
-    merged.rows_scanned = scanned.rows_scanned;
-    merged.bricks_scanned = scanned.bricks_scanned;
-    merged.bricks_pruned = scanned.bricks_pruned;
-    merged.bricks_rle_skipped = scanned.bricks_rle_skipped;
-  } else {
-    merged = std::move(scanned);
-  }
-
-  obs::TraceContext merge_span;
-  if (traced) {
-    merge_span = root.Child("merge", net::EventLoop::NowMicros());
-  }
   cwire::ClientRowsEnvelope rows;
-  rows.rows = cubrick::MaterializeRows(merged, query);
-  rows.region = 0;
-  rows.attempts = 1;
-  rows.fanout = static_cast<int>(servers.size());
-  rows.latency = net::EventLoop::NowMicros() - start_micros;
-  pool_tree_.ChargeScanMicros(pool, rows.latency);
-  if (traced) {
+  if (outcome.status.ok()) {
+    obs::TraceContext merge_span =
+        root.Child("merge", net::EventLoop::NowMicros());
+    rows.rows = cubrick::MaterializeRows(outcome.result, query);
+    rows.attempts = 1;
+    rows.fanout = outcome.fanout;
+    rows.latency = net::EventLoop::NowMicros() - start_micros;
+    pool_tree_.ChargeScanMicros(pool, rows.latency);
     merge_span.Annotate("rows", std::to_string(rows.rows.size()));
     merge_span.End(net::EventLoop::NowMicros());
-    root.Annotate("status", "OK");
+  }
+  if (traced) {
+    // Failed queries close their trace too, and reach the slow-query
+    // ring like any other.
+    root.Annotate("status",
+                  std::string(StatusCodeName(outcome.status.code())));
     root.Annotate("attempts", "1");
-    root.Annotate("fanout", std::to_string(rows.fanout));
+    root.Annotate("fanout", std::to_string(outcome.fanout));
     root.End(net::EventLoop::NowMicros());
 
     obs::QueryProfile profile = BuildQueryProfile(sink_.Spans(root.trace));
@@ -289,84 +319,11 @@ Result<net::Message> ProxyCore::Handle(const net::Message& request) {
       rows.trace_text = sink_.ExportTextTree(root.trace);
     }
   }
+  if (!outcome.status.ok()) return outcome.status;
   ++queries_;
   query_latency_ms_.Add(static_cast<double>(rows.latency) / 1000.0);
   return net::Message{net::FrameType::kClientRows,
                       cwire::EncodeClientRows(rows)};
-}
-
-Status ProxyCore::FanOut(const cwire::TreeMergeEnvelope& base,
-                         obs::TraceContext* root, int64_t start_micros,
-                         cubrick::QueryResult* merged,
-                         std::set<uint32_t>* servers) {
-  net::CallOptions call;
-  call.timeout = base.remaining_budget;  // 0 = the transport's default
-
-  // One span per chunk, keyed by its first partition; the servers'
-  // span batches graft under it as the chunks fold.
-  std::vector<obs::TraceContext> spans(base.partitions.size());
-  cubrick::ChunkHooks hooks;
-  hooks.trace = [&](size_t lo, size_t hi, net::CallSideband*,
-                    std::string* telemetry) {
-    if (root == nullptr) return;
-    spans[lo] = root->Child(
-        hi - lo == 1 ? "subquery p" + std::to_string(lo)
-                     : "tree merge p" + std::to_string(lo) + "-p" +
-                           std::to_string(hi - 1),
-        start_micros);
-    spans[lo].Annotate("server", cubrick::NodePeerName(base.servers[lo]));
-    *telemetry = net::EncodeTraceContext(
-        {.want_spans = true, .trace_id = root->trace,
-         .span_id = spans[lo].span, .origin = "proxy"});
-  };
-  hooks.fold = [&](size_t lo, size_t, Result<cwire::TreeMergeResult> reply,
-                   std::string_view span_batch) -> Status {
-    if (!reply.ok()) return reply.status();
-    servers->insert(base.servers[lo]);
-    merged->Merge(reply->result);
-    if (root != nullptr) {
-      std::vector<obs::SpanRecord> batch;
-      const Status tstatus = net::DecodeSpanBatch(span_batch, &batch);
-      if (!tstatus.ok()) {
-        // Advisory: count, drop, keep the query (and the peer) alive.
-        decode_errors_.Bump(tstatus);
-      } else if (!batch.empty()) {
-        sink_.Graft(spans[lo], batch);
-      }
-      spans[lo].End(net::EventLoop::NowMicros());
-    }
-    return Status::Ok();
-  };
-  return cubrick::FanOutChunks(transport_, base, 0, base.partitions.size(),
-                               call, hooks);
-}
-
-Status ProxyCore::ShuffleMap(const cubrick::Query& query,
-                             const cubrick::QueryResult& scanned,
-                             cubrick::QueryResult* mapped,
-                             std::set<uint32_t>* servers) {
-  // Stage 2: bucket the stage-1 groups by the FNV-1a hash of their raw
-  // join keys. Bucket count clamps to the cluster size (more buckets
-  // than servers buys nothing on the node path); bucket b maps on
-  // server b % num_servers.
-  const uint32_t num_servers = std::max(1u, options_.num_servers);
-  const uint32_t num_buckets = std::min(8u, num_servers);
-  const std::map<uint32_t, cubrick::QueryResult> buckets =
-      cubrick::BucketShuffleGroups(scanned, query.joins.size(), num_buckets,
-                                   query.aggregations.size());
-
-  // Stage 3: map each bucket through a server's dim replicas and fold
-  // the joined groups in ascending bucket order (deterministic: bucket
-  // ids partition the key space).
-  for (const auto& [b, bucket] : buckets) {
-    const uint32_t server = b % num_servers;
-    servers->insert(server);
-    auto joined = cubrick::CallShuffleMap(*transport_, server, query, bucket,
-                                          /*trace=*/{}, /*trace_time=*/-1);
-    if (!joined.ok()) return joined.status();
-    mapped->Merge(*joined);
-  }
-  return Status::Ok();
 }
 
 ServerNode::ServerNode(NodeOptions options, obs::MetricsRegistry* metrics)

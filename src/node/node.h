@@ -9,22 +9,14 @@
 // deterministic dataset assigns it, answering every frame through
 // cubrick::MakeServerNodeHandler — the handlers a sim Deployment's
 // servers answer, so the node keeps no copy of the server protocol.
-// The proxy fans a client query out to every partition's host, merges
-// the partial aggregation states in ascending partition order — the
-// coordinator's merge order — and returns materialized rows. Because
-// the scan, merge and materialization code is shared with the sim
-// engine and the wire codecs are lossless, the rows are byte-identical
-// to an oracle run and to a sim-transport Deployment over the same
-// seed.
-//
-// Requests may carry a plan (DESIGN.md §15): a join strategy against
-// the replicated "product_dim" table (replicated / broadcast snapshots
-// / shuffle via kShuffleMapRequest) and a merge topology (flat, or a
-// k-ary aggregation tree of kTreeMergeRequest hops where servers merge
-// their subtree's partials — forwarding remote leaves to peers — before
-// the proxy folds the few subtree results). Every topology folds in
-// ascending partition order, so results stay byte-identical wherever
-// the aggregation states are exact.
+// The proxy runs cubrick::ExecuteDistributed — the coordinator a sim
+// Deployment runs — with static placement and the wall clock, over the
+// request's plan (DESIGN.md §15): a join strategy against the replicated
+// "product_dim" table and a flat or k-ary tree merge topology. Because
+// the coordinator, scan, merge and materialization code is shared with
+// the sim engine and the wire codecs are lossless, the rows are
+// byte-identical to an oracle run and to a sim-transport Deployment over
+// the same seed wherever the aggregation states are exact.
 //
 // The protocol logic lives in transport-agnostic cores (ServerCore,
 // ProxyCore) that speak only net::Transport: the deployable nodes wrap
@@ -36,17 +28,16 @@
 // proxy records a root span, sends a trace-context block on every
 // subquery and tree-merge hop, and each server returns its spans as a
 // wire span batch which the proxy grafts (TraceSink::Graft) under the
-// issuing span — one stitched trace tree per query in the proxy's sink,
-// regardless of how many processes did the work. From the stitched tree the proxy
-// derives an obs::QueryProfile, feeds the slow-query ring, and (on
-// request.profile) ships the rendered profile and tree to the client.
+// issuing span — one stitched trace tree per query, however many
+// processes did the work. From it the proxy derives an obs::QueryProfile,
+// feeds the slow-query ring, and (on request.profile) ships the rendered
+// profile and tree to the client.
 
 #ifndef SCALEWALL_NODE_NODE_H_
 #define SCALEWALL_NODE_NODE_H_
 
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -118,17 +109,16 @@ class ServerCore {
   net::Handler handler_;
 };
 
-// Transport-agnostic proxy-side protocol logic: accepts kClientQuery
-// and executes the request's plan — join strategy (kAuto degrades to
-// kReplicated: the node proxy keeps no cost model) and merge topology
-// (flat fan-out, or a k-ary aggregation tree of kTreeMergeRequest hops
-// when the request pins merge_fanin >= 2) — over `transport` (peers
-// "s0".."s<N-1>"), stitches returned span batches, merges in ascending
-// partition order and materializes. `transport` must outlive the core.
+// Transport-agnostic proxy role: accepts kClientQuery, builds the
+// request's plan by hand (no cost model: kAuto resolves to kReplicated)
+// and runs it through cubrick::ExecuteDistributed in a wall-clock
+// environment over `transport` (peers "s0".."s<N-1>"), then materializes
+// the merged result. `transport` must outlive the core.
 class ProxyCore {
  public:
   ProxyCore(NodeOptions options, net::Transport* transport,
             obs::MetricsRegistry* metrics = nullptr);
+  ~ProxyCore();
 
   Result<net::Message> Handle(const net::Message& request);
 
@@ -143,26 +133,15 @@ class ProxyCore {
   const admit::FairShareTree& pool_tree() const { return pool_tree_; }
 
  private:
-  // Fans `base`'s leaves out through cubrick::FanOutChunks and folds
-  // them into `merged` in ascending partition order. `root` non-null =
-  // record a span per chunk under it and graft the servers' span
-  // batches.
-  Status FanOut(const cubrick::wire::TreeMergeEnvelope& base,
-                obs::TraceContext* root, int64_t start_micros,
-                cubrick::QueryResult* merged, std::set<uint32_t>* servers);
-  // Shuffle stages 2+3: bucket stage-1 groups by their raw join keys,
-  // send each bucket to server (bucket % num_servers) for dim mapping,
-  // fold mapped buckets in ascending bucket order.
-  Status ShuffleMap(const cubrick::Query& query,
-                    const cubrick::QueryResult& scanned,
-                    cubrick::QueryResult* mapped, std::set<uint32_t>* servers);
+  class WallEnv;
 
-  NodeOptions options_;
-  net::Transport* transport_;
+  cubrick::Catalog catalog_;  // "ads" at dataset.num_partitions + dim
+  cubrick::RegionContext region_;  // `catalog` and `transport` only
   obs::TraceSink sink_;
   obs::SlowQueryLog slow_log_;
   admit::FairShareTree pool_tree_;
   net::TelemetryDecodeCounters decode_errors_;
+  std::unique_ptr<WallEnv> env_;  // shared by concurrent Handle calls
   obs::Counter queries_;
   obs::HistogramMetric query_latency_ms_;
 };

@@ -151,8 +151,8 @@ TEST(AdmissionControllerTest, PerPoolCapsOverrideDefaults) {
 }
 
 TEST(AdmissionControllerTest, TokenBucketMapsLegacyMaxQps) {
-  // The legacy ProxyOptions::max_qps configuration: rate limit only,
-  // no concurrency machinery.
+  // A rate-only configuration (max_concurrency = 0, max_rate set): the
+  // token bucket alone, no concurrency machinery.
   AdmitOptions options;
   options.max_concurrency = 0;
   options.max_rate = 2.0;

@@ -365,7 +365,9 @@ TEST_F(DeploymentTest, CollisionCensusFindsNoSameTableCollisions) {
 
 TEST_F(DeploymentTest, AdmissionControlRejectsOverLimit) {
   DeploymentOptions options = SmallOptions();
-  options.proxy_options.max_qps = 5;
+  options.proxy_options.enable_admission = true;
+  options.proxy_options.admission.max_concurrency = 0;
+  options.proxy_options.admission.max_rate = 5;
   Make(options);
   Setup("t", 100);
   int rejected = 0;

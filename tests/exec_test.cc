@@ -154,22 +154,30 @@ TEST(ForEachMorselTest, PreCancelledSchedulesNothing) {
 }
 
 TEST(ForEachMorselTest, MidRunCancellationStopsSchedulingMorsels) {
-  ThreadPool pool(2);
+  constexpr int kTasks = 2;
+  ThreadPool pool(kTasks);
   CancelToken cancel;
   std::atomic<int> ran{0};
+  std::atomic<bool> flipped{false};
+  std::atomic<int> started_after_flip{0};
   MorselMetrics metrics;
   // The body cancels the token after a handful of morsels: remaining
-  // morsels must never start.
+  // morsels must never start. A task checks the token before claiming
+  // each morsel, so once the cancel has returned each task may start at
+  // most the one morsel it had already checked for — however the
+  // scheduler interleaves the workers.
   Status status = ForEachMorsel(
-      &pool, 2, 10000,
+      &pool, kTasks, 10000,
       [&](size_t) {
-        if (ran.fetch_add(1) + 1 == 5) cancel.RequestCancel();
+        if (flipped.load()) started_after_flip.fetch_add(1);
+        if (ran.fetch_add(1) + 1 == 5) {
+          cancel.RequestCancel();
+          flipped.store(true);
+        }
       },
       &cancel, &metrics);
   EXPECT_EQ(status.code(), StatusCode::kCancelled);
-  // At most one extra morsel per worker may already have been dequeued
-  // when the token flipped.
-  EXPECT_LE(ran.load(), 5 + pool.num_threads());
+  EXPECT_LE(started_after_flip.load(), kTasks);
   EXPECT_GT(metrics.skipped, 0);
 }
 

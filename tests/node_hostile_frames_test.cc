@@ -260,5 +260,36 @@ TEST(NodeHostileFramesTest, EmptyTreeMergeAnswersWithoutForwarding) {
   EXPECT_EQ(0u, merged->result.num_groups());
 }
 
+TEST(NodeHostileFramesTest, UnknownTableFailsAtTheProxyBeforeFanOut) {
+  // A well-formed client query naming a table the cluster does not
+  // have: the proxy's catalog rejects it, and no server sees a call.
+  Cluster cluster;
+  int server_calls = 0;
+  for (uint32_t s = 0; s < kServers; ++s) {
+    node::ServerCore* core = cluster.servers[s].get();
+    cluster.network.Node("s" + std::to_string(s))
+        ->SetHandler([core, &server_calls](const net::Message& m,
+                                           const net::CallSideband&) {
+          ++server_calls;
+          return core->Handle(m);
+        });
+  }
+  cubrick::QueryRequest request(JoinQuery());
+  request.query.table = "nope";
+  auto rows = cluster.proxy->Handle(net::Message{
+      net::FrameType::kClientQuery, cwire::EncodeClientQuery(request)});
+  ASSERT_FALSE(rows.ok());
+  EXPECT_EQ(StatusCode::kNotFound, rows.status().code())
+      << rows.status().ToString();
+  EXPECT_EQ(0, server_calls);
+
+  // The same cluster still serves the table it has.
+  request.query.table = node::DatasetTable();
+  rows = cluster.proxy->Handle(net::Message{
+      net::FrameType::kClientQuery, cwire::EncodeClientQuery(request)});
+  EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_GT(server_calls, 0);
+}
+
 }  // namespace
 }  // namespace scalewall

@@ -366,5 +366,54 @@ TEST(NodeTelemetryTest, MalformedTelemetryBlockDropsButQuerySucceeds) {
       exported.find("scalewall_net_decode_errors_total{kind=\"version\"} 8"));
 }
 
+TEST(NodeTelemetryTest, FailedTracedQueryClosesItsTrace) {
+  // One server fails every call: the query fails, and its trace still
+  // closes — the root span carries the failure's status code and an
+  // end, the failed chunk's span records the status, and the
+  // slow-query ring sees the query like any other.
+  sim::Simulation sim(5);
+  net::SimNetwork network(&sim);
+  node::ServerCore s0(SimCluster::ServerOptions(0));
+  ASSERT_TRUE(s0.LoadPartitions().ok());
+  network.Node("s0")->SetHandler(
+      [&s0](const net::Message& m, const net::CallSideband&) {
+        return s0.Handle(m);
+      });
+  network.Node("s1")->SetHandler(
+      [](const net::Message&,
+         const net::CallSideband&) -> Result<net::Message> {
+        return Status::Unavailable("s1 is down");
+      });
+  node::NodeOptions proxy_options = SimCluster::ProxyOptions();
+  proxy_options.slow_log.latency_threshold_micros = 1;
+  node::ProxyCore proxy(proxy_options, network.Node("proxy"));
+  network.Node("proxy")->SetHandler(
+      [&proxy](const net::Message& m, const net::CallSideband&) {
+        return proxy.Handle(m);
+      });
+
+  cubrick::QueryRequest request(TestQuery());
+  request.profile = true;
+  auto rows = node::SubmitClientQuery(*network.Node("client"), "proxy",
+                                      request);
+  ASSERT_FALSE(rows.ok());
+  EXPECT_EQ(StatusCode::kUnavailable, rows.status().code());
+
+  obs::TraceSink& sink = proxy.trace_sink();
+  const uint64_t trace = sink.LastTraceId();
+  ASSERT_NE(0u, trace);
+  const std::string tree = sink.ExportCanonicalTree(trace);
+  EXPECT_EQ(0u, tree.find("query ads status=UNAVAILABLE")) << tree;
+  EXPECT_NE(std::string::npos,
+            tree.find("subquery p1 server=s1 status=UNAVAILABLE"))
+      << tree;
+
+  const std::vector<obs::QueryProfile> slow = proxy.slow_log().Snapshot();
+  ASSERT_EQ(1u, slow.size());
+  EXPECT_EQ(trace, slow[0].trace_id);
+  EXPECT_EQ("UNAVAILABLE", slow[0].status);
+  EXPECT_GT(slow[0].latency_micros, 0);
+}
+
 }  // namespace
 }  // namespace scalewall
